@@ -8,7 +8,6 @@ unknown by one Krylov solve per system sampling period.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -31,6 +30,7 @@ __all__ = [
     "backward_costates",
     "horizon_trajectory",
     "optimality_residual",
+    "block_residual",
     "difference_operator",
     "assemble_jacobian",
     "symmetrize",
@@ -94,11 +94,35 @@ class OcpDims:
 class OcpSpec:
     """Problem definition consumed by the engine.
 
-    Callbacks are pure functions of their arguments.  ``f`` is the horizon
-    dynamics (already rescaled when the horizon is normalized), ``C`` the
-    pointwise equality constraint, ``psi`` the terminal constraint, ``phi``
-    the terminal cost, and ``H_*`` the partial derivatives of the Hamiltonian
-    L + lam'f + mu'C.  Optional callbacks default to zero contributions.
+    Callbacks are pure functions of their arguments, always called with
+    positional arguments.  ``f`` is the horizon dynamics (already rescaled
+    when the horizon is normalized), ``C`` the pointwise equality
+    constraint, ``psi`` the terminal constraint, ``phi`` the terminal cost
+    (part of the problem definition; the engine reads only its gradients),
+    and ``H_*`` the partial derivatives of the Hamiltonian L + lam'f + mu'C.
+    Optional callbacks default to zero contributions.
+
+    Batch contract.  The engine evaluates one decision vector or a block of
+    K of them at once, with the batch on the trailing axes: below, ``batch``
+    is () for one vector and (K,) for a block, and ``x[0]`` is the first
+    state component of every column either way.
+
+    - ``f(tau, x, u, p)`` and ``H_x(tau, x, lam, u, mu, p)`` run once per
+      stage with a float ``tau`` and arguments of shape (n, *batch);
+    - ``H_u``, ``C`` and ``H_p`` run once for all stages with stage
+      arguments of shape (n, N, *batch), the stage times ``tau`` and the
+      parameter ``p`` with length-one axes that broadcast against them
+      ((N,) or (N, 1), and (n_p, 1, *batch));
+    - the terminal callbacks get the final state and ``p`` with shapes
+      (n_x, *batch) and (n_p, *batch).
+
+    A callback returns its component axes followed by the batch axes of its
+    arguments: (n_x, *batch) for ``f``, (n_u, N, *batch) for ``H_u``,
+    (n_psi, n_x, *batch) for ``psi_x``.  A value that does not depend on the
+    batch may leave the trailing axes out (``psi_x`` may return
+    ``np.eye(n_x)``).  Write the callbacks with elementwise numpy
+    (``np.cos``, not ``math.cos``), so that one expression serves every
+    shape.
     """
 
     dims: OcpDims
@@ -184,45 +208,164 @@ class HorizonTrajectory:
     costates: np.ndarray
 
 
-def forward_states(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> np.ndarray:
-    """Explicit Euler forward recursion for the horizon states."""
+def _stages(rows: np.ndarray, n: int, N: int) -> np.ndarray:
+    """(n, N, *batch) view of the N stacked n-row stage blocks in ``rows``."""
+    return rows.reshape((N, n) + rows.shape[1:]).swapaxes(0, 1)
+
+
+def _blocks(d: OcpDims, Z: np.ndarray):
+    """u and mu as (n, N, *batch) stage views of a decision block; nu and p
+    as (n, *batch)."""
+    a = d.N * d.n_u
+    b = a + d.N * d.n_c
+    c = b + d.n_psi
+    return _stages(Z[:a], d.n_u, d.N), _stages(Z[a:b], d.n_c, d.N), Z[b:c], Z[c:]
+
+
+def _call(callback: Callable[..., np.ndarray], shape: tuple, *args) -> np.ndarray:
+    """Callback value as a float array that broadcasts to ``shape``.
+
+    A value that does not depend on the batch may leave out the trailing
+    axes; they come back as length-one axes.  Any other shape is an error.
+    """
+    out = np.asarray(callback(*args), dtype=float)
+    if out.shape != shape:
+        if out.shape != shape[: out.ndim]:
+            raise ValueError(f"callback returned shape {out.shape}, expected {shape}")
+        out = out.reshape(out.shape + (1,) * (len(shape) - out.ndim))
+    return out
+
+
+def _transpose_times(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column-wise ``M[..., k].T @ v[:, k]``, summed over the rows of M in order."""
+    out = M[0] * v[0]
+    for j in range(1, v.shape[0]):
+        out = out + M[j] * v[j]
+    return out
+
+
+def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Explicit Euler states of every column, shape (N+1, n_x, *batch)."""
     d = spec.dims
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d.n_x,):
         raise ValueError(f"state must have length {d.n_x}")
     dtau = spec.dtau
-    p = U.p()
-    xs = np.empty((d.N + 1, d.n_x))
-    xs[0] = x0
+    batch = p.shape[1:]
+    shape = (d.n_x,) + batch
+    xs = np.empty((d.N + 1,) + shape)
+    xs[0] = x0.reshape((d.n_x,) + (1,) * len(batch))
+    x = xs[0]
     for i in range(d.N):
-        xs[i + 1] = xs[i] + dtau * np.asarray(spec.f(i * dtau, xs[i], U.u(i), p), dtype=float)
-        if not np.isfinite(xs[i + 1]).all():
+        x = x + dtau * _call(spec.f, shape, i * dtau, x, u[:, i], p)
+        # count_nonzero is a cheaper all() on stage-sized arrays
+        if np.count_nonzero(np.isfinite(x)) != x.size:
             raise TrajectoryDivergedError("state", i + 1)
+        xs[i + 1] = x
     return xs
+
+
+def _backward(
+    spec: OcpSpec, xs: np.ndarray, u: np.ndarray, mu: np.ndarray, nu: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Costates of every column from the terminal condition, shape (N+1, n_x, *batch)."""
+    d = spec.dims
+    dtau = spec.dtau
+    tau_N = spec.horizon
+    shape = xs.shape[1:]
+    lam = np.empty(xs.shape)
+    lam_i = np.zeros(shape)
+    if spec.phi_x is not None:
+        lam_i = lam_i + _call(spec.phi_x, shape, tau_N, xs[d.N], p)
+    if d.n_psi > 0:
+        psi_x = _call(spec.psi_x, (d.n_psi,) + shape, tau_N, xs[d.N], p)
+        lam_i = lam_i + _transpose_times(psi_x, nu)
+    lam[d.N] = lam_i
+    for i in range(d.N - 1, -1, -1):
+        if spec.H_x is not None:
+            lam_i = lam_i + dtau * _call(
+                spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p
+            )
+        if np.count_nonzero(np.isfinite(lam_i)) != lam_i.size:
+            raise TrajectoryDivergedError("costate", i)
+        lam[i] = lam_i
+    return lam
+
+
+def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """Stacked stationarity residuals of a block of decision vectors.
+
+    Z has shape (m,) for one decision vector or (m, K) for K of them in its
+    columns, and the result has the shape of Z.  Row order: Hamiltonian
+    control gradients (times dtau) for each stage, constraint residuals
+    (times dtau) for each stage, the terminal constraint, then the parameter
+    gradient.  The layout mirrors :class:`DecisionVector`, which makes the
+    derivative square and, up to the difference step, symmetric.  ``t`` is
+    accepted for interface parity with time-varying problems; the recursions
+    run on the normalized horizon grid.
+
+    The recursions run once per stage over all columns, and ``H_u``, ``C``
+    and ``H_p`` are evaluated once over all stages.  Every operation acts
+    column by column, so a column's residual does not depend on the others.
+    """
+    d = spec.dims
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim not in (1, 2) or Z.shape[0] != d.decision_size:
+        raise ValueError(f"expected a block of {d.decision_size} rows, got shape {Z.shape}")
+    N, batch = d.N, Z.shape[1:]
+    dtau = spec.dtau
+    u, mu, nu, p = _blocks(d, Z)
+    xs = _forward(spec, x, u, p)
+    lam = _backward(spec, xs, u, mu, nu, p)
+    taus = dtau * np.arange(N).reshape((N,) + (1,) * len(batch))
+    states = xs[:N].swapaxes(0, 1)
+    costates = lam[1:].swapaxes(0, 1)
+    stage_p = p[:, None]
+    out = np.empty(Z.shape)
+    pos = N * d.n_u
+    _stages(out[:pos], d.n_u, N)[...] = dtau * _call(
+        spec.H_u, (d.n_u, N) + batch, taus, states, costates, u, mu, stage_p
+    )
+    if d.n_c:
+        _stages(out[pos : pos + N * d.n_c], d.n_c, N)[...] = dtau * _call(
+            spec.C, (d.n_c, N) + batch, taus, states, u, stage_p
+        )
+        pos += N * d.n_c
+    tau_N = spec.horizon
+    x_N = xs[N]
+    if d.n_psi:
+        out[pos : pos + d.n_psi] = _call(spec.psi, (d.n_psi,) + batch, tau_N, x_N, p)
+        pos += d.n_psi
+    if d.n_p:
+        acc = np.zeros((d.n_p,) + batch)
+        if spec.phi_p is not None:
+            acc = acc + _call(spec.phi_p, (d.n_p,) + batch, tau_N, x_N, p)
+        if d.n_psi and spec.psi_p is not None:
+            psi_p = _call(spec.psi_p, (d.n_psi, d.n_p) + batch, tau_N, x_N, p)
+            acc = acc + _transpose_times(psi_p, nu)
+        if spec.H_p is not None:
+            # Sum stage by stage after the terminal terms, as the recursion
+            # order dictates: accumulate is sequential, np.sum is pairwise.
+            seq = np.empty((d.n_p, N + 1) + batch)
+            seq[:, 0] = acc
+            seq[:, 1:] = dtau * _call(
+                spec.H_p, (d.n_p, N) + batch, taus, states, costates, u, mu, stage_p
+            )
+            acc = np.add.accumulate(seq, axis=1)[:, N]
+        out[pos:] = acc
+    return out
+
+
+def forward_states(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> np.ndarray:
+    """Explicit Euler forward recursion for the horizon states, shape (N+1, n_x)."""
+    u, _, _, p = _blocks(spec.dims, U.data)
+    return _forward(spec, x0, u, p)
 
 
 def backward_costates(spec: OcpSpec, states: np.ndarray, U: DecisionVector) -> np.ndarray:
     """Backward costate recursion from the terminal stationarity condition."""
-    d = spec.dims
-    dtau = spec.dtau
-    p = U.p()
-    tau_N = spec.horizon
-    lam = np.empty((d.N + 1, d.n_x))
-    lam_N = np.zeros(d.n_x)
-    if spec.phi_x is not None:
-        lam_N = lam_N + np.asarray(spec.phi_x(tau_N, states[d.N], p), dtype=float)
-    if d.n_psi > 0:
-        lam_N = lam_N + np.asarray(spec.psi_x(tau_N, states[d.N], p), dtype=float).T @ U.nu()
-    lam[d.N] = lam_N
-    for i in range(d.N - 1, -1, -1):
-        lam[i] = lam[i + 1]
-        if spec.H_x is not None:
-            lam[i] = lam[i] + dtau * np.asarray(
-                spec.H_x(i * dtau, states[i], lam[i + 1], U.u(i), U.mu(i), p), dtype=float
-            )
-        if not np.isfinite(lam[i]).all():
-            raise TrajectoryDivergedError("costate", i)
-    return lam
+    u, mu, nu, p = _blocks(spec.dims, U.data)
+    return _backward(spec, np.asarray(states, dtype=float), u, mu, nu, p)
 
 
 def horizon_trajectory(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> HorizonTrajectory:
@@ -236,50 +379,9 @@ def horizon_trajectory(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> Hori
 def optimality_residual(
     spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
-    """Stacked stationarity residual of the discrete horizon problem.
-
-    Row order: Hamiltonian control gradients (times dtau) for each stage,
-    constraint residuals (times dtau) for each stage, the terminal
-    constraint, then the parameter gradient.  The layout mirrors
-    :class:`DecisionVector`, which makes the derivative square and, up to the
-    difference step, symmetric.  ``t`` is accepted for interface parity with
-    time-varying problems; the recursions run on the normalized horizon grid.
-    """
-    d = spec.dims
-    dtau = spec.dtau
-    xs = forward_states(spec, x, U)
-    lam = backward_costates(spec, xs, U)
-    p = U.p()
-    out = np.empty(d.decision_size)
-    pos = 0
-    for i in range(d.N):
-        out[pos : pos + d.n_u] = dtau * np.asarray(
-            spec.H_u(i * dtau, xs[i], lam[i + 1], U.u(i), U.mu(i), p), dtype=float
-        )
-        pos += d.n_u
-    for i in range(d.N):
-        if d.n_c:
-            out[pos : pos + d.n_c] = dtau * np.asarray(
-                spec.C(i * dtau, xs[i], U.u(i), p), dtype=float
-            )
-            pos += d.n_c
-    tau_N = spec.horizon
-    if d.n_psi:
-        out[pos : pos + d.n_psi] = np.asarray(spec.psi(tau_N, xs[d.N], p), dtype=float)
-        pos += d.n_psi
-    if d.n_p:
-        acc = np.zeros(d.n_p)
-        if spec.phi_p is not None:
-            acc = acc + np.asarray(spec.phi_p(tau_N, xs[d.N], p), dtype=float)
-        if d.n_psi and spec.psi_p is not None:
-            acc = acc + np.asarray(spec.psi_p(tau_N, xs[d.N], p), dtype=float).T @ U.nu()
-        if spec.H_p is not None:
-            for i in range(d.N):
-                acc = acc + dtau * np.asarray(
-                    spec.H_p(i * dtau, xs[i], lam[i + 1], U.u(i), U.mu(i), p), dtype=float
-                )
-        out[pos : pos + d.n_p] = acc
-    return out
+    """Stacked stationarity residual of the discrete horizon problem at U:
+    :func:`block_residual` of the single vector."""
+    return block_residual(spec, U.data, x, t)
 
 
 def difference_operator(
@@ -292,8 +394,9 @@ def difference_operator(
 ) -> LinearMap:
     """Forward-difference directional derivative of the residual at U.
 
-    ``apply(V)`` returns (F[U + step*V] - F[U]) / step; the base residual is
-    evaluated once at construction, so each apply costs a single residual
+    ``apply(V)`` returns (F[U + step*V] - F[U]) / step for a direction of
+    shape (m,) or for each column of an (m, K) block; the base residual is
+    evaluated once at construction, so an apply costs one block residual
     evaluation.
     """
     if step <= 0.0:
@@ -307,36 +410,32 @@ def difference_operator(
         base = np.asarray(base, dtype=float).copy()
 
     def apply(v: np.ndarray) -> np.ndarray:
-        shifted = DecisionVector(dims, data + step * np.asarray(v, dtype=float))
-        return (optimality_residual(spec, shifted, x, t) - base) / step
+        v = np.asarray(v, dtype=float)
+        rows = (slice(None),) + (None,) * (v.ndim - 1)  # broadcast over a block's columns
+        return (block_residual(spec, data[rows] + step * v, x, t) - base[rows]) / step
 
     return LinearMap(dims.decision_size, apply)
 
 
-def assemble_jacobian(
-    op: LinearMap, parallel: bool = False, max_workers: Optional[int] = None
-) -> np.ndarray:
-    """Dense matrix of the operator, column j = apply(e_j).
+def assemble_jacobian(op: LinearMap) -> np.ndarray:
+    """Dense matrix of the operator: one apply on the identity block.
 
-    Columns are independent pure evaluations, so the optional thread pool
-    yields bitwise-identical output to the sequential loop.
+    Column j equals ``apply(e_j)`` bitwise for operators that act column by
+    column, as :func:`difference_operator` does.  If the block apply raises,
+    the columns are re-run one at a time to name the failing one.
     """
     m = op.dim
-
-    def column(j: int) -> np.ndarray:
-        e = np.zeros(m)
-        e[j] = 1.0
-        try:
-            return np.asarray(op.apply(e), dtype=float)
-        except Exception as exc:
-            raise JacobianAssemblyError(j) from exc
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            cols = list(pool.map(column, range(m)))
-    else:
-        cols = [column(j) for j in range(m)]
-    return np.column_stack(cols)
+    try:
+        return np.asarray(op.apply(np.eye(m)), dtype=float)
+    except Exception:
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = 1.0
+            try:
+                op.apply(e)
+            except Exception as exc:
+                raise JacobianAssemblyError(j) from exc
+        raise
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
@@ -397,9 +496,9 @@ def continuation_step(
     Solves a(W) = -F/h for the difference operator a at the current point
     with initial guess W = 0, applies the update U += h*W, and returns the
     first control block of the updated vector.  Solver failures never raise:
-    a breakdown or a rejected preconditioner yields the best available
-    (possibly zero) update and a degraded flag, keeping the control loop
-    alive.
+    a breakdown, a rejected preconditioner or a Krylov direction whose
+    trajectory diverges yields the best available (possibly zero) update and
+    a degraded flag, keeping the control loop alive.
     """
     base = optimality_residual(spec, engine.U, x_meas, t)
     norm_F = float(np.linalg.norm(base))
@@ -416,9 +515,10 @@ def continuation_step(
             tol=engine.tol,
             early_exit=engine.early_exit,
         )
-    except ValueError:
+    except (ValueError, TrajectoryDivergedError):
         # Mid-solve contract violation (e.g. indefinite preconditioner with
-        # MINRES): keep the previous solution rather than halting the loop.
+        # MINRES) or a trial direction whose trajectory diverges: keep the
+        # previous solution rather than halting the loop.
         result = None
 
     if result is None:

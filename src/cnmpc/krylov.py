@@ -402,14 +402,14 @@ def lu_factor(A: np.ndarray) -> LUFactors:
     m = A.shape[0]
     perm = np.arange(m)
     for k in range(m):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
+        piv = k + int(np.abs(A[k:, k]).argmax())
         if A[piv, k] == 0.0:
             raise SingularMatrixError(k)
         if piv != k:
             A[[k, piv]] = A[[piv, k]]
             perm[[k, piv]] = perm[[piv, k]]
         A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * A[k, k + 1 :]
     lower = np.tril(A, -1) + np.eye(m)
     upper = np.triu(A)
     return LUFactors(perm=perm, lower=lower, upper=upper)
@@ -422,11 +422,13 @@ def lu_solve(factors: LUFactors, r: np.ndarray) -> np.ndarray:
     if r.shape != (m,):
         raise ValueError(f"right-hand side must have length {m}")
     L, U = factors.lower, factors.upper
+    # np.dot runs the same BLAS dot as ``@`` on vectors, at half the call cost.
+    dot = np.dot
     y = r[factors.perm]
     for i in range(1, m):
-        y[i] -= L[i, :i] @ y[:i]
+        y[i] -= dot(L[i, :i], y[:i])
     for i in range(m - 1, -1, -1):
-        y[i] = (y[i] - U[i, i + 1 :] @ y[i + 1 :]) / U[i, i]
+        y[i] = (y[i] - dot(U[i, i + 1 :], y[i + 1 :])) / U[i, i]
     return y
 
 

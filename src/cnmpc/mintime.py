@@ -28,7 +28,6 @@ __all__ = [
     "terminal_cost",
     "running_cost",
     "objective_value",
-    "residual_rows",
     "initial_guess",
 ]
 
@@ -72,7 +71,7 @@ def problem_dims(n_steps: int) -> OcpDims:
 def dynamics(c: MinTimeConstants, x: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Horizon state rate in normalized time; the slack does not enter."""
     speed = p[0] * (c.A * x[0] + c.B)
-    return np.array([speed * math.cos(u[0]), speed * math.sin(u[0])])
+    return speed * np.array([np.cos(u[0]), np.sin(u[0])])
 
 
 def plant_rate(c: MinTimeConstants, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -82,17 +81,22 @@ def plant_rate(c: MinTimeConstants, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def constraint_residual(c: MinTimeConstants, u: np.ndarray) -> np.ndarray:
-    """Circle form of the heading band; zero keeps u within the band."""
-    return np.array([(u[0] - c.c_u) ** 2 + u[1] ** 2 - c.r_u**2])
+    """Circle form of the heading band; zero keeps u within the band.
+
+    The squares use the C library's pow, as ``**`` does on a float scalar;
+    ``**`` on an array multiplies instead, which rounds differently for
+    about one input in a thousand.
+    """
+    return np.array([np.float_power(u[0] - c.c_u, 2) + np.float_power(u[1], 2) - c.r_u**2])
 
 
 def terminal_residual(c: MinTimeConstants, x: np.ndarray) -> np.ndarray:
     return np.array([x[0] - c.x_f, x[1] - c.y_f])
 
 
-def terminal_cost(p: np.ndarray) -> float:
-    """Terminal cost is the time-to-go itself."""
-    return float(p[0])
+def terminal_cost(p: np.ndarray) -> np.ndarray:
+    """Terminal cost is the time-to-go itself, for every batch column of p."""
+    return p[0]
 
 
 def running_cost(c: MinTimeConstants, u: np.ndarray) -> float:
@@ -115,14 +119,26 @@ def objective_value(c: MinTimeConstants, p: float, inputs) -> float:
     return total
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     """Problem definition with analytic partials on the normalized horizon.
 
     Integrand terms (running cost and dynamics) carry the time-to-go factor
     from the change of variables; the pointwise constraint and its multiplier
-    are kept unscaled, which is the numerically preferable variant.
+    are kept unscaled, which is the numerically preferable variant.  The
+    callbacks follow the batch contract of :class:`OcpSpec`: ``x[0]`` is the
+    first state component over the trailing batch axes, and the trigonometry
+    is elementwise numpy.
     """
     dims = problem_dims(n_steps)
+    # Batch-independent partials, built once; the engine only reads them.
+    eye, zeros_psi_p, zeros_x, ones_p = (
+        _frozen(a) for a in (np.eye(2), np.zeros((2, 1)), np.zeros(2), np.ones(1))
+    )
 
     def f(tau, x, u, p):
         return dynamics(c, x, u, p)
@@ -134,39 +150,39 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         return terminal_residual(c, x)
 
     def psi_x(tau, x, p):
-        return np.eye(2)
+        return eye
 
     def psi_p(tau, x, p):
-        return np.zeros((2, 1))
+        return zeros_psi_p
 
     def phi(tau, x, p):
         return terminal_cost(p)
 
     def phi_x(tau, x, p):
-        return np.zeros(2)
+        return zeros_x
 
     def phi_p(tau, x, p):
-        return np.ones(1)
+        return ones_p
 
     def H_u(tau, x, lam, u, mu, p):
         speed = c.A * x[0] + c.B
         return np.array(
             [
-                p[0] * speed * (-math.sin(u[0]) * lam[0] + math.cos(u[0]) * lam[1])
+                p[0] * speed * (-np.sin(u[0]) * lam[0] + np.cos(u[0]) * lam[1])
                 + 2.0 * (u[0] - c.c_u) * mu[0],
                 2.0 * mu[0] * u[1] - c.w_d * p[0],
             ]
         )
 
     def H_x(tau, x, lam, u, mu, p):
-        return np.array(
-            [p[0] * c.A * (math.cos(u[0]) * lam[0] + math.sin(u[0]) * lam[1]), 0.0]
-        )
+        out = np.zeros((2,) + np.shape(lam[0]))
+        out[0] = p[0] * c.A * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1])
+        return out
 
     def H_p(tau, x, lam, u, mu, p):
         speed = c.A * x[0] + c.B
         return np.array(
-            [speed * (math.cos(u[0]) * lam[0] + math.sin(u[0]) * lam[1]) - c.w_d * u[1]]
+            [speed * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1]) - c.w_d * u[1]]
         )
 
     return OcpSpec(
@@ -183,43 +199,6 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         H_x=H_x,
         H_p=H_p,
     )
-
-
-def residual_rows(
-    c: MinTimeConstants, U: DecisionVector, states: np.ndarray, costates: np.ndarray
-) -> np.ndarray:
-    """Stacked optimality rows written out directly for this problem.
-
-    A second construction path for the same residual: heading and slack
-    stationarity, the band constraint, the terminal mismatch, and the
-    time-to-go stationarity row.  Must agree entrywise with the generic
-    engine residual on :func:`problem_spec`.
-    """
-    d = U.dims
-    N = d.N
-    dtau = 1.0 / N
-    p = U.p()[0]
-    out = np.empty(d.decision_size)
-    for i in range(N):
-        u, ud = U.u(i)
-        mu = U.mu(i)[0]
-        l1, l2 = costates[i + 1]
-        speed = c.A * states[i][0] + c.B
-        out[2 * i] = dtau * (
-            p * speed * (-math.sin(u) * l1 + math.cos(u) * l2) + 2.0 * (u - c.c_u) * mu
-        )
-        out[2 * i + 1] = dtau * (2.0 * mu * ud - c.w_d * p)
-        out[2 * N + i] = dtau * ((u - c.c_u) ** 2 + ud**2 - c.r_u**2)
-    out[3 * N] = states[N][0] - c.x_f
-    out[3 * N + 1] = states[N][1] - c.y_f
-    acc = 0.0
-    for i in range(N):
-        u, ud = U.u(i)
-        l1, l2 = costates[i + 1]
-        speed = c.A * states[i][0] + c.B
-        acc += speed * (math.cos(u) * l1 + math.sin(u) * l2) - c.w_d * ud
-    out[3 * N + 2] = dtau * acc + 1.0
-    return out
 
 
 def initial_guess(c: MinTimeConstants, n_steps: int) -> DecisionVector:

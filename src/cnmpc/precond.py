@@ -1,6 +1,6 @@
 """Scheduled LU preconditioning for the per-step Krylov solves.
 
-The dense difference Jacobian is assembled column by column at configured
+The dense difference Jacobian is assembled in one block apply at configured
 time instances, factored once, and the triangular factors are reused for all
 sampling points until the next rebuild.
 """
@@ -13,7 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .continuation import OcpSpec, DecisionVector, assemble_jacobian, difference_operator, symmetrize
+from .continuation import (
+    DecisionVector,
+    JacobianAssemblyError,
+    OcpSpec,
+    TrajectoryDivergedError,
+    assemble_jacobian,
+    difference_operator,
+    symmetrize,
+)
 from .krylov import LUFactors, SingularMatrixError, lu_factor, lu_solve
 
 __all__ = [
@@ -28,7 +36,7 @@ __all__ = [
 
 
 class StalePreconditionerWarning(RuntimeWarning):
-    """A rebuild hit a singular Jacobian; previous factors stay in use."""
+    """A rebuild failed; previous factors stay in use."""
 
 
 @dataclass(frozen=True)
@@ -79,30 +87,39 @@ def rebuild(
 ) -> PrecondState:
     """Assemble and factor the difference Jacobian at the current point.
 
-    A singular factorization keeps the previous factors (a stale
-    preconditioner beats a sudden conditioning cliff), emits a warning, and
-    marks the state stale; the control loop is never halted from here.
+    A failed assembly, a Jacobian with non-finite entries or a singular
+    factorization keeps the previous factors (a stale preconditioner beats
+    a sudden conditioning cliff), emits a warning, and marks the state
+    stale; the control loop is never halted from here.
     """
     prev = prev if prev is not None else PrecondState()
-    A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step))
+    try:
+        A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step))
+    except (JacobianAssemblyError, TrajectoryDivergedError) as exc:
+        return _stale(prev, t, f"a failed Jacobian assembly ({exc})")
+    if not np.isfinite(A).all():
+        return _stale(prev, t, "a Jacobian with non-finite entries")
     if cfg.symmetrize_before_factor:
         A = symmetrize(A)
     try:
         factors = lu_factor(A)
     except SingularMatrixError as exc:
-        warnings.warn(
-            f"preconditioner rebuild at t={t:g} hit a singular Jacobian ({exc}); "
-            "keeping previous factors",
-            StalePreconditionerWarning,
-            stacklevel=2,
-        )
-        return PrecondState(
-            factors=prev.factors,
-            built_at=prev.built_at,
-            rebuild_count=prev.rebuild_count,
-            stale=True,
-        )
+        return _stale(prev, t, f"a singular Jacobian ({exc})")
     return PrecondState(factors=factors, built_at=t, rebuild_count=prev.rebuild_count + 1)
+
+
+def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
+    warnings.warn(
+        f"preconditioner rebuild at t={t:g} hit {cause}; keeping previous factors",
+        StalePreconditionerWarning,
+        stacklevel=3,
+    )
+    return PrecondState(
+        factors=prev.factors,
+        built_at=prev.built_at,
+        rebuild_count=prev.rebuild_count,
+        stale=True,
+    )
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:

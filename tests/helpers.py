@@ -30,6 +30,32 @@ def quadratic_spec(n_steps=3, a=0.5, b=1.0, q=1.0, r=1.0, s=2.0):
     return OcpSpec(dims=dims, f=f, H_u=H_u, H_x=H_x, phi_x=phi_x)
 
 
+def fragile_spec(blow_up, n_steps=3, u_base=0.3):
+    """The scalar LQ problem of :func:`quadratic_spec`, finite while every
+    control equals ``u_base`` and broken by any perturbation of a control.
+
+    With ``blow_up="state"`` the dynamics overflow, so the state recursion
+    diverges; with ``blow_up="residual"`` the control gradient turns NaN,
+    which no recursion check sees.
+    """
+    spec = quadratic_spec(n_steps)
+    f, H_u = spec.f, spec.H_u
+    if blow_up == "state":
+
+        def f_fragile(tau, x, u, p):
+            # zero at u_base; overflows for any other control
+            return f(tau, x, u, p) + (u[0] - u_base) * 1e300 * 1e300
+
+        spec.f = f_fragile
+    else:
+
+        def H_u_fragile(tau, x, lam, u, mu, p):
+            return H_u(tau, x, lam, u, mu, p) + np.where(u[0] == u_base, 0.0, np.nan)
+
+        spec.H_u = H_u_fragile
+    return spec
+
+
 def random_decision(dims, seed):
     """Bounded random point in the benchmark's decision space."""
     rng = np.random.default_rng(seed)
@@ -72,4 +98,39 @@ def central_residual_oracle(c, n, U, x0, step=1e-4):
         zp[j] += step
         zm[j] -= step
         out[j] = (lagrangian_scalar(c, n, zp, x0) - lagrangian_scalar(c, n, zm, x0)) / (2 * step)
+    return out
+
+
+def residual_rows(c, U, states, costates):
+    """Independent oracle: the stacked optimality rows of the minimum-time
+    problem written out directly, one scalar at a time.
+
+    Heading and slack stationarity, the band constraint, the terminal
+    mismatch, and the time-to-go stationarity row.  Agrees entrywise with
+    the engine residual on ``problem_spec`` up to rounding.
+    """
+    d = U.dims
+    N = d.N
+    dtau = 1.0 / N
+    p = U.p()[0]
+    out = np.empty(d.decision_size)
+    for i in range(N):
+        u, ud = U.u(i)
+        mu = U.mu(i)[0]
+        l1, l2 = costates[i + 1]
+        speed = c.A * states[i][0] + c.B
+        out[2 * i] = dtau * (
+            p * speed * (-math.sin(u) * l1 + math.cos(u) * l2) + 2.0 * (u - c.c_u) * mu
+        )
+        out[2 * i + 1] = dtau * (2.0 * mu * ud - c.w_d * p)
+        out[2 * N + i] = dtau * ((u - c.c_u) ** 2 + ud**2 - c.r_u**2)
+    out[3 * N] = states[N][0] - c.x_f
+    out[3 * N + 1] = states[N][1] - c.y_f
+    acc = 0.0
+    for i in range(N):
+        u, ud = U.u(i)
+        l1, l2 = costates[i + 1]
+        speed = c.A * states[i][0] + c.B
+        acc += speed * (math.cos(u) * l1 + math.sin(u) * l2) - c.w_d * ud
+    out[3 * N + 2] = dtau * acc + 1.0
     return out

@@ -15,6 +15,7 @@ from cnmpc.continuation import (
     TrajectoryDivergedError,
     assemble_jacobian,
     backward_costates,
+    block_residual,
     continuation_step,
     difference_operator,
     forward_states,
@@ -24,8 +25,14 @@ from cnmpc.continuation import (
     symmetrize,
 )
 from cnmpc.krylov import LinearMap, lu_factor, lu_solve
-from cnmpc.mintime import initial_guess, problem_spec
-from helpers import central_residual_oracle, quadratic_spec, random_decision
+from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
+from helpers import (
+    central_residual_oracle,
+    fragile_spec,
+    quadratic_spec,
+    random_decision,
+    residual_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,45 @@ def test_residual_deterministic_bitwise(consts, spec10):
     assert np.array_equal(a, b)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**20),
+)
+def test_block_residual_columns_match_single_evaluations(N, K, seed):
+    c = MinTimeConstants()
+    spec = problem_spec(c, N)
+    cols = [random_decision(spec.dims, seed=seed + k) for k in range(K)]
+    x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2)
+    R = block_residual(spec, np.column_stack([U.data for U in cols]), x0)
+    assert R.shape == (spec.dims.decision_size, K)
+    eps = np.finfo(float).eps
+    for k, U in enumerate(cols):
+        assert np.array_equal(R[:, k], optimality_residual(spec, U, x0))
+        xs = forward_states(spec, x0, U)
+        oracle = residual_rows(c, U, xs, backward_costates(spec, xs, U))
+        scale = np.max(np.abs(R[:, k])) + 1.0
+        assert np.max(np.abs(R[:, k] - oracle)) <= 50 * eps * scale
+    # a block apply of the difference operator is K single applies
+    op = difference_operator(spec, cols[0], x0, 0.0, 1e-5)
+    V = np.random.default_rng(seed + 1).standard_normal((op.dim, K))
+    block = op.apply(V)
+    for k in range(K):
+        assert np.array_equal(block[:, k], op.apply(V[:, k]))
+
+
+def test_callback_with_wrong_shape_is_rejected():
+    spec = quadratic_spec()
+
+    def f_wrong(tau, x, u, p):
+        return np.zeros(2)  # the state has one component
+
+    spec.f = f_wrong
+    with pytest.raises(ValueError):
+        optimality_residual(spec, DecisionVector.zeros(spec.dims), np.array([1.0]))
+
+
 # ---------------------------------------------------------------------------
 # difference operator
 
@@ -286,12 +332,11 @@ def test_assemble_jacobian_consistency_improves_with_step(consts, spec10):
     assert 10 / 3 <= ratio <= 30
 
 
-def test_assemble_jacobian_parallel_is_bitwise_identical(consts, spec10):
+def test_assemble_jacobian_equals_column_applies_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
     op = difference_operator(spec10, U, consts.start, 0.0, 1e-5)
-    A_seq = assemble_jacobian(op, parallel=False)
-    A_par = assemble_jacobian(op, parallel=True, max_workers=4)
-    assert np.array_equal(A_seq, A_par)
+    columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
+    assert np.array_equal(assemble_jacobian(op), columns)
 
 
 def test_assemble_jacobian_reports_failing_column():
@@ -303,6 +348,25 @@ def test_assemble_jacobian_reports_failing_column():
     with pytest.raises(JacobianAssemblyError) as err:
         assemble_jacobian(LinearMap(4, bad_apply))
     assert err.value.column == 2
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(min_value=1, max_value=40), st.data())
+def test_assemble_jacobian_names_the_diverging_column(N, data):
+    j = data.draw(st.integers(min_value=0, max_value=N - 1))
+    spec = quadratic_spec(N)
+    f = spec.f
+
+    def f_threshold(tau, x, u, p):
+        return f(tau, x, u, p) + np.where(u[0] > 1.0, np.inf, 0.0)
+
+    spec.f = f_threshold
+    z = np.full(N, -1.0)
+    z[j] = 0.5  # only a unit step along control j crosses the threshold
+    op = difference_operator(spec, DecisionVector(spec.dims, z), np.array([1.0]), 0.0, 1.0)
+    with pytest.raises(JacobianAssemblyError) as err:
+        assemble_jacobian(op)
+    assert err.value.column == j
 
 
 def test_symmetrize_examples():
@@ -364,6 +428,19 @@ def test_continuation_step_survives_solver_rejection():
     u, diag = continuation_step(engine, spec, x0, 0.0, precond=lambda r: -r)
     assert diag.degraded
     assert np.array_equal(engine.U.data, U.data)  # best available update is zero
+
+
+def test_continuation_step_survives_diverging_krylov_direction():
+    spec = fragile_spec("state")
+    x0 = np.array([0.5])
+    U = DecisionVector(spec.dims, np.full(3, 0.3))
+    engine = ContinuationEngine(U=U.copy(), k_max=3, tol=1e-8)
+    with np.errstate(over="ignore"):
+        u, diag = continuation_step(engine, spec, x0, 0.0)
+    assert math.isfinite(diag.norm_F) and diag.norm_F > 0.0
+    assert diag.breakdown and diag.degraded and not diag.converged
+    assert np.array_equal(engine.U.data, U.data)  # best available update is zero
+    assert np.array_equal(u, U.u(0))
 
 
 def test_step_diagnostics_fields(consts, spec10):

@@ -13,12 +13,11 @@ from cnmpc.mintime import (
     initial_guess,
     objective_value,
     plant_rate,
-    residual_rows,
     running_cost,
     terminal_cost,
     terminal_residual,
 )
-from helpers import random_decision
+from helpers import random_decision, residual_rows
 
 
 def test_constants_validation():

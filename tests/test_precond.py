@@ -17,6 +17,7 @@ from cnmpc.continuation import (
 from cnmpc.krylov import LinearMap, gmres, lu_factor
 from cnmpc.mintime import initial_guess
 from cnmpc.precond import PrecondConfig, PrecondState, StalePreconditionerWarning
+from helpers import fragile_spec
 
 
 def test_config_validation():
@@ -116,6 +117,22 @@ def test_rebuild_singular_keeps_previous_factors():
     prev = PrecondState(factors=lu_factor(np.eye(1)), built_at=-0.1, rebuild_count=3)
     with pytest.warns(StalePreconditionerWarning):
         state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, cfg, prev=prev)
+    assert state.stale
+    assert state.factors is prev.factors
+    assert state.built_at == -0.1
+    assert state.rebuild_count == 3
+
+
+@pytest.mark.parametrize("blow_up", ["state", "residual"])
+def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
+    # "state": every column diverges, so the assembly raises
+    # JacobianAssemblyError; "residual": the Jacobian comes back with NaNs
+    spec = fragile_spec(blow_up)
+    U = DecisionVector(spec.dims, np.full(3, 0.3))
+    cfg = PrecondConfig(enabled=True, t_p=0.1)
+    prev = PrecondState(factors=lu_factor(np.eye(3)), built_at=-0.1, rebuild_count=3)
+    with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
+        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, cfg, prev=prev)
     assert state.stale
     assert state.factors is prev.factors
     assert state.built_at == -0.1
