@@ -13,7 +13,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .krylov import LinearMap, Preconditioner, SingularMatrixError, dense_solve, gmres, minres
+from .krylov import (
+    IndefinitePreconditionerError,
+    LinearMap,
+    Preconditioner,
+    SingularMatrixError,
+    dense_solve,
+    gmres,
+    minres,
+)
 
 __all__ = [
     "OcpDims",
@@ -490,17 +498,22 @@ def continuation_step(
     x_meas: np.ndarray,
     t: float,
     precond: Optional[Preconditioner] = None,
+    base: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """Advance the tracked solution by one sampling period.
 
     Solves a(W) = -F/h for the difference operator a at the current point
     with initial guess W = 0, applies the update U += h*W, and returns the
-    first control block of the updated vector.  Solver failures never raise:
-    a breakdown, a rejected preconditioner or a Krylov direction whose
-    trajectory diverges yields the best available (possibly zero) update and
-    a degraded flag, keeping the control loop alive.
+    first control block of the updated vector.  ``base`` is F at the current
+    point when the caller already has it.  Solver failures never raise: a
+    breakdown, a preconditioner MINRES rejects as indefinite or a Krylov
+    direction whose trajectory diverges yields the best available (possibly
+    zero) update and a degraded flag, keeping the control loop alive.  Any
+    other error, such as a preconditioner returning the wrong shape, is a
+    bug and propagates.
     """
-    base = optimality_residual(spec, engine.U, x_meas, t)
+    if base is None:
+        base = optimality_residual(spec, engine.U, x_meas, t)
     norm_F = float(np.linalg.norm(base))
     op = difference_operator(spec, engine.U, x_meas, t, engine.fd_step, base=base)
     rhs = -base / engine.fd_step
@@ -515,10 +528,10 @@ def continuation_step(
             tol=engine.tol,
             early_exit=engine.early_exit,
         )
-    except (ValueError, TrajectoryDivergedError):
-        # Mid-solve contract violation (e.g. indefinite preconditioner with
-        # MINRES) or a trial direction whose trajectory diverges: keep the
-        # previous solution rather than halting the loop.
+    except (IndefinitePreconditionerError, TrajectoryDivergedError):
+        # An indefinite preconditioner under MINRES or a trial direction
+        # whose trajectory diverges: keep the previous solution rather than
+        # halting the loop.
         result = None
 
     if result is None:

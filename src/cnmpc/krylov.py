@@ -1,9 +1,11 @@
-"""Matrix-free Krylov solvers with a dense LU backend.
+"""Matrix-free Krylov solvers with a dense LAPACK backend.
 
 GMRES (without restarts) and MINRES operate on an abstract matrix-vector
 map, so the same code serves exact matrices and finite-difference
-directional-derivative operators.  The LU routines back the preconditioner
-and double as a direct-solve oracle in the test suite.
+directional-derivative operators.  The dense routines are thin checked
+wrappers of numpy's LAPACK: :func:`lu_factor` forms the explicit inverse that
+the preconditioner applies with one matvec, and :func:`dense_solve` is the
+cold start's direct Newton solve.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "KrylovResult",
     "LUFactors",
     "SingularMatrixError",
+    "IndefinitePreconditionerError",
     "gmres",
     "minres",
     "hessenberg_lsq",
@@ -68,6 +71,11 @@ class KrylovResult:
         if self.initial_residual_norm == 0.0:
             return 0.0
         return self.residual_norm / self.initial_residual_norm
+
+
+class IndefinitePreconditionerError(ValueError):
+    """MINRES met a negative preconditioned inner product: the preconditioner
+    is not positive definite."""
 
 
 def _identity(r: np.ndarray) -> np.ndarray:
@@ -265,12 +273,12 @@ def minres(
     """Preconditioned MINRES via the three-term Lanczos recurrence.
 
     Requires a (nearly) symmetric map and a symmetric positive definite
-    preconditioner; a negative Lanczos inner product is reported as a
-    ``ValueError`` since it indicates a violated caller contract.  Storage is
-    a fixed handful of working vectors regardless of ``k_max``.  The residual
-    estimate tracked is the preconditioner-weighted norm of ``b - op(x)``;
-    convergence and early exit use the same relative criterion as
-    :func:`gmres`.
+    preconditioner; a negative Lanczos inner product is reported as an
+    :class:`IndefinitePreconditionerError` since it indicates a violated
+    caller contract.  Storage is a fixed handful of working vectors
+    regardless of ``k_max``.  The residual estimate tracked is the
+    preconditioner-weighted norm of ``b - op(x)``; convergence and early exit
+    use the same relative criterion as :func:`gmres`.
     """
     m = op.dim
     b = np.asarray(b, dtype=float)
@@ -295,7 +303,9 @@ def minres(
     y = np.asarray(T(r1), dtype=float)
     beta1_sq = float(r1 @ y)
     if beta1_sq < 0.0:
-        raise ValueError("preconditioner is not positive definite (negative inner product)")
+        raise IndefinitePreconditionerError(
+            "preconditioner is not positive definite (negative inner product)"
+        )
     beta1 = math.sqrt(beta1_sq)
     history = [beta1]
     if beta1 == 0.0:
@@ -335,7 +345,9 @@ def minres(
         oldb = beta
         beta_sq = float(r2 @ y)
         if beta_sq < 0.0:
-            raise ValueError("preconditioner is not positive definite (negative inner product)")
+            raise IndefinitePreconditionerError(
+                "preconditioner is not positive definite (negative inner product)"
+            )
         beta = math.sqrt(beta_sq)
 
         oldeps = epsln
@@ -372,66 +384,62 @@ def minres(
 
 
 class SingularMatrixError(ValueError):
-    """Raised when Gaussian elimination meets an exactly zero pivot column."""
-
-    def __init__(self, column: int):
-        super().__init__(f"matrix is singular: no nonzero pivot in column {column}")
-        self.column = column
+    """Raised when LAPACK's pivoted LU meets an exactly zero pivot."""
 
 
 @dataclass(frozen=True)
 class LUFactors:
-    """Row-pivoted triangular factors with ``A[perm] == lower @ upper``."""
+    """Explicit inverse of a factored matrix, applied by one matvec."""
 
-    perm: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    inverse: np.ndarray
 
     @property
     def order(self) -> int:
-        return self.lower.shape[0]
+        return self.inverse.shape[0]
 
 
-def lu_factor(A: np.ndarray) -> LUFactors:
-    """LU factorization with partial (maximal column entry) pivoting."""
-    A = np.array(A, dtype=float)
+def _square_finite(A: np.ndarray) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
-    m = A.shape[0]
-    perm = np.arange(m)
-    for k in range(m):
-        piv = k + int(np.abs(A[k:, k]).argmax())
-        if A[piv, k] == 0.0:
-            raise SingularMatrixError(k)
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * A[k, k + 1 :]
-    lower = np.tril(A, -1) + np.eye(m)
-    upper = np.triu(A)
-    return LUFactors(perm=perm, lower=lower, upper=upper)
+    return A
+
+
+def lu_factor(A: np.ndarray) -> LUFactors:
+    """Inverse of A from LAPACK's LU with partial pivoting (``np.linalg.inv``).
+
+    Forming the inverse costs one LAPACK call per rebuild and makes every
+    apply a single BLAS matvec.
+    """
+    A = _square_finite(A)
+    try:
+        return LUFactors(inverse=np.linalg.inv(A))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular: LU met an exactly zero pivot") from exc
 
 
 def lu_solve(factors: LUFactors, r: np.ndarray) -> np.ndarray:
-    """Solve the factored system by permutation plus two triangular sweeps."""
+    """Apply the factored inverse to r."""
     r = np.asarray(r, dtype=float)
     m = factors.order
     if r.shape != (m,):
         raise ValueError(f"right-hand side must have length {m}")
-    L, U = factors.lower, factors.upper
-    # np.dot runs the same BLAS dot as ``@`` on vectors, at half the call cost.
-    dot = np.dot
-    y = r[factors.perm]
-    for i in range(1, m):
-        y[i] -= dot(L[i, :i], y[:i])
-    for i in range(m - 1, -1, -1):
-        y[i] = (y[i] - dot(U[i, i + 1 :], y[i + 1 :])) / U[i, i]
-    return y
+    return np.dot(factors.inverse, r)
 
 
 def dense_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct solve: factor then substitute.  Singular matrices propagate."""
-    return lu_solve(lu_factor(A), b)
+    """Direct solve by LAPACK's pivoted LU (``np.linalg.solve``), no inverse.
+
+    Singular matrices raise :class:`SingularMatrixError`.
+    """
+    A = _square_finite(A)
+    b = np.asarray(b, dtype=float)
+    m = A.shape[0]
+    if b.shape != (m,):
+        raise ValueError(f"right-hand side must have length {m}")
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError("matrix is singular: LU met an exactly zero pivot") from exc

@@ -1,8 +1,8 @@
 """Scheduled LU preconditioning for the per-step Krylov solves.
 
 The dense difference Jacobian is assembled in one block apply at configured
-time instances, factored once, and the triangular factors are reused for all
-sampling points until the next rebuild.
+time instances and inverted once by LAPACK's pivoted LU; every sampling
+point until the next rebuild applies that inverse with one matvec.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class PrecondConfig:
 
 @dataclass
 class PrecondState:
-    """Current factors plus bookkeeping; replaced wholesale at rebuilds."""
+    """Current inverse (``factors``) plus bookkeeping; replaced wholesale at
+    rebuilds."""
 
     factors: Optional[LUFactors] = None
     built_at: Optional[float] = None
@@ -84,8 +85,12 @@ def rebuild(
     fd_step: float,
     cfg: PrecondConfig,
     prev: Optional[PrecondState] = None,
+    base: Optional[np.ndarray] = None,
 ) -> PrecondState:
-    """Assemble and factor the difference Jacobian at the current point.
+    """Assemble and invert the difference Jacobian at the current point.
+
+    ``base`` is the residual at the current point when the caller already
+    has it; the difference operator evaluates it otherwise.
 
     A failed assembly, a Jacobian with non-finite entries or a singular
     factorization keeps the previous factors (a stale preconditioner beats
@@ -94,7 +99,7 @@ def rebuild(
     """
     prev = prev if prev is not None else PrecondState()
     try:
-        A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step))
+        A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step, base=base))
     except (JacobianAssemblyError, TrajectoryDivergedError) as exc:
         return _stale(prev, t, f"a failed Jacobian assembly ({exc})")
     if not np.isfinite(A).all():
@@ -123,7 +128,7 @@ def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:
-    """Triangular-solve action of the factors; identity while none are built."""
+    """Matvec with the stored inverse; identity while none is built."""
     if state.factors is None:
         return np.asarray(r, dtype=float)
     return lu_solve(state.factors, r)

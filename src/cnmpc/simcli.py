@@ -18,7 +18,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import precond
-from .continuation import ColdStartError, ContinuationEngine, continuation_step, initial_solve
+from .continuation import (
+    ColdStartError,
+    ContinuationEngine,
+    continuation_step,
+    initial_solve,
+    optimality_residual,
+)
 from .mintime import MinTimeConstants, initial_guess, plant_rate, problem_spec
 
 __all__ = [
@@ -93,6 +99,10 @@ class SimConfig:
             raise ValueError(f"stop_radius must be positive, got {self.stop_radius}")
         if self.solver not in ("gmres", "minres"):
             raise ValueError(f"solver must be gmres or minres, got {self.solver}")
+        if self.solver == "minres" and self.precond_enabled:
+            # MINRES needs an SPD preconditioner; the LU inverse of the
+            # non-symmetric Jacobian is not one, so every step would degrade.
+            raise ValueError("solver minres requires precond off: the LU preconditioner is not SPD")
 
 
 @dataclass(frozen=True)
@@ -188,14 +198,15 @@ def run_simulation(
         if math.hypot(x[0] - consts.x_f, x[1] - consts.y_f) <= cfg.stop_radius:
             arrival = t
             break
+        # one residual at (U, x, t) serves the rebuild and the step
+        base = optimality_residual(spec, engine.U, x, t)
         rebuilt = False
         if precond.should_rebuild(pcfg, pstate, t):
-            pstate = precond.rebuild(spec, engine.U, x, t, cfg.h, pcfg, prev=pstate)
+            pstate = precond.rebuild(spec, engine.U, x, t, cfg.h, pcfg, prev=pstate, base=base)
             total_rebuild_evals += m
             rebuilt = True
-        u_applied, diag = continuation_step(
-            engine, spec, x, t, precond.as_operator(pstate) if cfg.precond_enabled else None
-        )
+        step_precond = precond.as_operator(pstate) if cfg.precond_enabled else None
+        u_applied, diag = continuation_step(engine, spec, x, t, step_precond, base=base)
         total_map_evals += diag.iterations
         records.append(
             StepRecord(

@@ -134,3 +134,46 @@ def residual_rows(c, U, states, costates):
         acc += speed * (math.cos(u) * l1 + math.sin(u) * l2) - c.w_d * ud
     out[3 * N + 2] = dtau * acc + 1.0
     return out
+
+
+class ZeroPivotError(ValueError):
+    """The oracle elimination met an exactly zero pivot column."""
+
+    def __init__(self, column):
+        super().__init__(f"matrix is singular: no nonzero pivot in column {column}")
+        self.column = column
+
+
+def doolittle_lu(A):
+    """Independent oracle: Doolittle elimination with partial (maximal column
+    entry) pivoting, one Python step per column.
+
+    Returns ``(perm, lower, upper)`` with ``A[perm] == lower @ upper`` up to
+    rounding, ``lower`` unit lower triangular; raises :class:`ZeroPivotError`
+    naming the first column without a nonzero pivot.
+    """
+    A = np.array(A, dtype=float)
+    m = A.shape[0]
+    perm = np.arange(m)
+    for k in range(m):
+        piv = k + int(np.abs(A[k:, k]).argmax())
+        if A[piv, k] == 0.0:
+            raise ZeroPivotError(k)
+        if piv != k:
+            A[[k, piv]] = A[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        A[k + 1 :, k] /= A[k, k]
+        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * A[k, k + 1 :]
+    return perm, np.tril(A, -1) + np.eye(m), np.triu(A)
+
+
+def triangular_solve(perm, lower, upper, r):
+    """Independent oracle: solve with :func:`doolittle_lu` factors by a
+    forward and a backward sweep, one Python step per row."""
+    y = np.array(r, dtype=float)[perm]
+    m = y.size
+    for i in range(1, m):
+        y[i] -= lower[i, :i] @ y[:i]
+    for i in range(m - 1, -1, -1):
+        y[i] = (y[i] - upper[i, i + 1 :] @ y[i + 1 :]) / upper[i, i]
+    return y

@@ -1,0 +1,48 @@
+"""pytest-benchmark smoke tests of the two hottest layers at N = 10 (m = 33).
+
+They assert on the results only, never on the timings, so they pass on any
+machine. ``pytest tests/test_bench_smoke.py --benchmark-autosave`` adds a run
+to the history in ``.benchmarks/``; ``--benchmark-compare`` compares against
+the last saved run.
+"""
+
+import numpy as np
+import pytest
+
+from cnmpc.continuation import (
+    assemble_jacobian,
+    block_residual,
+    difference_operator,
+    optimality_residual,
+)
+from cnmpc.krylov import lu_factor, lu_solve
+from cnmpc.mintime import initial_guess
+
+EPS = np.finfo(float).eps
+SMOKE = pytest.mark.benchmark(max_time=0.2, min_rounds=5)
+
+
+@SMOKE
+def test_bench_block_residual_rebuild_block(benchmark, consts, spec10):
+    # the block a rebuild evaluates: the current point shifted along each axis
+    U = initial_guess(consts, 10)
+    Z = U.data[:, None] + 1e-5 * np.eye(U.data.size)
+    R = benchmark(block_residual, spec10, Z, consts.start)
+    assert R.shape == (33, 33)
+    assert np.isfinite(R).all()
+    U.data[:] = Z[:, 7]
+    assert np.array_equal(R[:, 7], optimality_residual(spec10, U, consts.start))
+
+
+@SMOKE
+def test_bench_lu_factor_and_solve(benchmark, consts, spec10):
+    U = initial_guess(consts, 10)
+    A = assemble_jacobian(difference_operator(spec10, U, consts.start, 0.0, 1e-5))
+    r = np.random.default_rng(3).standard_normal(33)
+
+    def factor_and_apply():
+        return lu_solve(lu_factor(A), r)
+
+    z = benchmark(factor_and_apply)
+    bound = 100.0 * 33 * EPS * np.linalg.cond(A) * np.linalg.norm(r)
+    assert np.linalg.norm(A @ z - r) <= bound

@@ -430,6 +430,30 @@ def test_continuation_step_survives_solver_rejection():
     assert np.array_equal(engine.U.data, U.data)  # best available update is zero
 
 
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
+    spec = quadratic_spec()
+    x0 = np.array([0.5])
+    U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
+    engine = ContinuationEngine(U=U.copy(), solver=solver, k_max=3, tol=1e-8)
+    with pytest.raises(ValueError):
+        continuation_step(engine, spec, x0, 0.0, precond=lambda r: r[:-1])
+    assert np.array_equal(engine.U.data, U.data)
+    assert engine.step_index == 0
+
+
+def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
+    U = initial_guess(consts, 10)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
+    own = ContinuationEngine(U=U.copy())
+    given_base = ContinuationEngine(U=U.copy())
+    u_own, diag_own = continuation_step(own, spec10, consts.start, 0.0)
+    u_given, diag_given = continuation_step(given_base, spec10, consts.start, 0.0, base=base)
+    assert np.array_equal(own.U.data, given_base.U.data)
+    assert np.array_equal(u_own, u_given)
+    assert diag_own == diag_given
+
+
 def test_continuation_step_survives_diverging_krylov_direction():
     spec = fragile_spec("state")
     x0 = np.array([0.5])

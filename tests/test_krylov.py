@@ -16,6 +16,8 @@ from cnmpc.krylov import (
     minres,
 )
 
+from helpers import ZeroPivotError, doolittle_lu, triangular_solve
+
 EPS = np.finfo(float).eps
 
 
@@ -268,35 +270,47 @@ def test_hessenberg_lsq_matches_lstsq(k, seed):
 
 # ---------------------------------------------------------------------------
 # LU factorization and direct solve
+#
+# lu_factor returns LAPACK's explicit inverse; the Doolittle elimination and
+# triangular sweeps in helpers are the independent oracle it is checked
+# against.
 
 
 def test_lu_factor_permutation_matrix():
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f = lu_factor(A)
-    assert np.array_equal(f.perm, [1, 0])
-    assert np.array_equal(f.lower, np.eye(2))
-    assert np.array_equal(f.upper, np.eye(2))
+    assert np.array_equal(lu_factor(A).inverse, A)  # a swap is its own inverse
+    perm, lower, upper = doolittle_lu(A)
+    assert np.array_equal(perm, [1, 0])
+    assert np.array_equal(lower, np.eye(2))
+    assert np.array_equal(upper, np.eye(2))
 
 
 def test_lu_factor_scaled_identity():
     f = lu_factor(2.0 * np.eye(3))
-    assert np.array_equal(f.perm, [0, 1, 2])
-    assert np.array_equal(f.lower, np.eye(3))
-    assert np.array_equal(f.upper, 2.0 * np.eye(3))
+    assert f.order == 3
+    assert np.array_equal(f.inverse, 0.5 * np.eye(3))
+    perm, lower, upper = doolittle_lu(2.0 * np.eye(3))
+    assert np.array_equal(perm, [0, 1, 2])
+    assert np.array_equal(lower, np.eye(3))
+    assert np.array_equal(upper, 2.0 * np.eye(3))
 
 
 def test_lu_factor_random_reconstruction():
     rng = np.random.default_rng(42)
     A = rng.standard_normal((33, 33))
-    f = lu_factor(A)
-    err = np.linalg.norm(A[f.perm] - f.lower @ f.upper)
-    assert err <= 1e-13 * np.linalg.norm(A)
+    X = lu_factor(A).inverse
+    assert np.linalg.norm(A @ X - np.eye(33)) <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(X)
+    factors = doolittle_lu(A)
+    oracle = np.column_stack([triangular_solve(*factors, e) for e in np.eye(33)])
+    assert np.linalg.norm(X - oracle) <= 1e-12 * np.linalg.norm(X)
 
 
 def test_lu_factor_reports_singular_column():
     A = np.array([[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(SingularMatrixError) as err:
+    with pytest.raises(SingularMatrixError):
         lu_factor(A)
+    with pytest.raises(ZeroPivotError) as err:
+        doolittle_lu(A)
     assert err.value.column == 1
 
 
@@ -310,16 +324,86 @@ def test_lu_factor_rejects_nonfinite():
 def test_lu_backward_stability(m, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, m))
-    f = lu_factor(A)
-    assert np.all(np.diag(f.lower) == 1.0)
-    assert np.linalg.norm(A[f.perm] - f.lower @ f.upper) <= 1e-12 * m * np.linalg.norm(A)
+    perm, lower, upper = doolittle_lu(A)
+    assert np.all(np.diag(lower) == 1.0)
+    assert np.linalg.norm(A[perm] - lower @ upper) <= 1e-12 * m * np.linalg.norm(A)
 
 
 def test_lu_backward_stability_large():
     rng = np.random.default_rng(200)
     A = rng.standard_normal((200, 200))
-    f = lu_factor(A)
-    assert np.linalg.norm(A[f.perm] - f.lower @ f.upper) <= 1e-12 * 200 * np.linalg.norm(A)
+    perm, lower, upper = doolittle_lu(A)
+    assert np.linalg.norm(A[perm] - lower @ upper) <= 1e-12 * 200 * np.linalg.norm(A)
+
+
+def _conditioned_bound(A, r):
+    """Forward-error scale of a backward-stable solve: m * eps * cond(A) * |r|."""
+    m = A.shape[0]
+    return 100.0 * m * EPS * np.linalg.cond(A) * np.linalg.norm(r)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=-8.0, max_value=8.0),
+)
+def test_lu_solve_and_dense_solve_match_oracle(m, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, m)) * 10.0**log_scale
+    r = rng.standard_normal(m)
+    expect = triangular_solve(*doolittle_lu(A), r)
+    bound = _conditioned_bound(A, r)
+    for z in (lu_solve(lu_factor(A), r), dense_solve(A, r)):
+        assert np.linalg.norm(A @ z - r) <= bound
+        assert np.linalg.norm(z - expect) <= bound * np.linalg.norm(expect) / np.linalg.norm(r)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=60), st.data())
+def test_exactly_singular_matrices_raise(m, data):
+    # a zero row or column survives every elimination order exactly
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10_000)))
+    A = rng.standard_normal((m, m))
+    k = data.draw(st.integers(min_value=0, max_value=m - 1))
+    if data.draw(st.booleans()):
+        A[k, :] = 0.0
+    else:
+        A[:, k] = 0.0
+    with pytest.raises(SingularMatrixError):
+        lu_factor(A)
+    with pytest.raises(SingularMatrixError):
+        dense_solve(A, np.ones(m))
+    with pytest.raises(ZeroPivotError):
+        doolittle_lu(A)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_nonfinite_matrices_raise_value_error(m, data, bad):
+    A = np.eye(m)
+    A[data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))] = bad
+    for call in (lambda: lu_factor(A), lambda: dense_solve(A, np.ones(m))):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["wide", "tall", "vector", "stack"]),
+)
+def test_nonsquare_matrices_raise_value_error(m, extra, kind):
+    shape = {"wide": (m, m + extra), "tall": (m + extra, m), "vector": (m,), "stack": (extra, m, m)}
+    A = np.ones(shape[kind])
+    for call in (lambda: lu_factor(A), lambda: dense_solve(A, np.ones(m))):
+        with pytest.raises(ValueError, match="square"):
+            call()
 
 
 def test_lu_solve_scaled_identity():

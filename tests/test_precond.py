@@ -13,6 +13,7 @@ from cnmpc.continuation import (
     assemble_jacobian,
     difference_operator,
     initial_solve,
+    optimality_residual,
 )
 from cnmpc.krylov import LinearMap, gmres, lu_factor
 from cnmpc.mintime import initial_guess
@@ -97,9 +98,16 @@ def test_rebuild_deterministic_bitwise(consts, spec10):
     cfg = PrecondConfig(enabled=True, t_p=0.2)
     a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
     b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
-    assert np.array_equal(a.factors.lower, b.factors.lower)
-    assert np.array_equal(a.factors.upper, b.factors.upper)
-    assert np.array_equal(a.factors.perm, b.factors.perm)
+    assert np.array_equal(a.factors.inverse, b.factors.inverse)
+
+
+def test_rebuild_given_base_is_bitwise_identical(consts, spec10):
+    U = initial_guess(consts, 10)
+    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
+    own = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
+    given_base = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg, base=base)
+    assert np.array_equal(own.factors.inverse, given_base.factors.inverse)
 
 
 def test_rebuild_singular_keeps_previous_factors():
@@ -152,7 +160,7 @@ def test_rebuild_symmetrize_option(consts, spec10):
         1e-5,
         PrecondConfig(enabled=True, t_p=0.2, symmetrize_before_factor=True),
     )
-    assert not np.array_equal(plain.factors.upper, sym.factors.upper)
+    assert not np.array_equal(plain.factors.inverse, sym.factors.inverse)
 
 
 # ---------------------------------------------------------------------------

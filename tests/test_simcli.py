@@ -84,6 +84,21 @@ def test_parse_cli_out_of_range_values(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--case", "3", "--solver", "minres"],
+        ["--case", "1", "--solver", "minres", "--precond", "on"],
+    ],
+)
+def test_parse_cli_rejects_minres_with_preconditioner(argv, capsys):
+    # the LU preconditioner is not SPD, so MINRES would degrade every step
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(argv)
+    assert exc.value.code == 2
+    assert "minres" in capsys.readouterr().err
+
+
 def test_parse_cli_collects_remaining_flags(tmp_path):
     out = tmp_path / "run.csv"
     cfg = parse_cli(
