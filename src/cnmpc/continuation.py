@@ -27,7 +27,6 @@ __all__ = [
     "OcpDims",
     "OcpSpec",
     "DecisionVector",
-    "HorizonTrajectory",
     "ContinuationEngine",
     "StepDiagnostics",
     "InitialSolveResult",
@@ -36,12 +35,10 @@ __all__ = [
     "ColdStartError",
     "forward_states",
     "backward_costates",
-    "horizon_trajectory",
     "optimality_residual",
     "block_residual",
     "difference_operator",
     "assemble_jacobian",
-    "symmetrize",
     "continuation_step",
     "initial_solve",
 ]
@@ -184,36 +181,31 @@ class DecisionVector:
 
     def u(self, i: int) -> np.ndarray:
         self._check_stage(i)
-        d = self.dims
-        return self.data[i * d.n_u : (i + 1) * d.n_u]
+        n = self.dims.n_u
+        return self.data[i * n : (i + 1) * n]
 
     def mu(self, i: int) -> np.ndarray:
         self._check_stage(i)
-        d = self.dims
-        base = d.N * d.n_u
-        return self.data[base + i * d.n_c : base + (i + 1) * d.n_c]
+        n = self.dims.n_c
+        base = _offsets(self.dims)[0] + i * n
+        return self.data[base : base + n]
 
     def nu(self) -> np.ndarray:
-        d = self.dims
-        base = d.N * (d.n_u + d.n_c)
-        return self.data[base : base + d.n_psi]
+        _, b, c = _offsets(self.dims)
+        return self.data[b:c]
 
     def p(self) -> np.ndarray:
-        d = self.dims
-        base = d.N * (d.n_u + d.n_c) + d.n_psi
-        return self.data[base : base + d.n_p]
+        return self.data[_offsets(self.dims)[2] :]
 
     def copy(self) -> "DecisionVector":
         return DecisionVector(self.dims, self.data.copy())
 
 
-@dataclass(frozen=True)
-class HorizonTrajectory:
-    """States and costates on the horizon grid (lengths N+1)."""
-
-    taus: np.ndarray
-    states: np.ndarray
-    costates: np.ndarray
+def _offsets(d: OcpDims) -> tuple[int, int, int]:
+    """Ends of the u, mu and nu blocks in the layout [u, mu, nu, p]."""
+    a = d.N * d.n_u
+    b = a + d.N * d.n_c
+    return a, b, b + d.n_psi
 
 
 def _stages(rows: np.ndarray, n: int, N: int) -> np.ndarray:
@@ -224,9 +216,7 @@ def _stages(rows: np.ndarray, n: int, N: int) -> np.ndarray:
 def _blocks(d: OcpDims, Z: np.ndarray):
     """u and mu as (n, N, *batch) stage views of a decision block; nu and p
     as (n, *batch)."""
-    a = d.N * d.n_u
-    b = a + d.N * d.n_c
-    c = b + d.n_psi
+    a, b, c = _offsets(d)
     return _stages(Z[:a], d.n_u, d.N), _stages(Z[a:b], d.n_c, d.N), Z[b:c], Z[c:]
 
 
@@ -376,14 +366,6 @@ def backward_costates(spec: OcpSpec, states: np.ndarray, U: DecisionVector) -> n
     return _backward(spec, np.asarray(states, dtype=float), u, mu, nu, p)
 
 
-def horizon_trajectory(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> HorizonTrajectory:
-    """Convenience bundle of both recursions on the shared grid."""
-    xs = forward_states(spec, x0, U)
-    lam = backward_costates(spec, xs, U)
-    taus = spec.dtau * np.arange(spec.dims.N + 1)
-    return HorizonTrajectory(taus=taus, states=xs, costates=lam)
-
-
 def optimality_residual(
     spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
@@ -446,14 +428,6 @@ def assemble_jacobian(op: LinearMap) -> np.ndarray:
         raise
 
 
-def symmetrize(A: np.ndarray) -> np.ndarray:
-    """Exact arithmetic mean of A and its transpose."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return (A + A.T) / 2.0
-
-
 @dataclass
 class StepDiagnostics:
     """Per-step solver diagnostics returned by :func:`continuation_step`."""
@@ -476,18 +450,13 @@ class ContinuationEngine:
 
     U: DecisionVector
     fd_step: float = 1e-5
-    dt: float = 0.02
     k_max: int = 10
     tol: float = 1e-5
     solver: str = "gmres"
-    early_exit: bool = True
-    step_index: int = 0
 
     def __post_init__(self) -> None:
         if self.fd_step <= 0.0:
             raise ValueError("fd_step must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.solver not in ("gmres", "minres"):
             raise ValueError(f"unknown solver {self.solver!r}")
 
@@ -519,15 +488,7 @@ def continuation_step(
     rhs = -base / engine.fd_step
     solve = gmres if engine.solver == "gmres" else minres
     try:
-        result = solve(
-            op,
-            precond,
-            rhs,
-            x0=np.zeros(op.dim),
-            k_max=engine.k_max,
-            tol=engine.tol,
-            early_exit=engine.early_exit,
-        )
+        result = solve(op, precond, rhs, k_max=engine.k_max, tol=engine.tol)
     except (IndefinitePreconditionerError, TrajectoryDivergedError):
         # An indefinite preconditioner under MINRES or a trial direction
         # whose trajectory diverges: keep the previous solution rather than
@@ -555,7 +516,6 @@ def continuation_step(
             degraded=result.breakdown and not result.converged,
         )
     engine.U = DecisionVector(engine.U.dims, engine.U.data + delta)
-    engine.step_index += 1
     return engine.U.u(0).copy(), diag
 
 

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "LinearMap",
     "KrylovResult",
-    "LUFactors",
     "SingularMatrixError",
     "IndefinitePreconditionerError",
     "gmres",
@@ -64,7 +63,6 @@ class KrylovResult:
     breakdown: bool
     initial_residual_norm: float
     residual_history: list[float]
-    basis: Optional[np.ndarray] = None
 
     @property
     def relative_residual(self) -> float:
@@ -80,6 +78,66 @@ class IndefinitePreconditionerError(ValueError):
 
 def _identity(r: np.ndarray) -> np.ndarray:
     return r
+
+
+def _start(
+    op: LinearMap,
+    precond: Optional[Preconditioner],
+    b: np.ndarray,
+    x0: Optional[np.ndarray],
+    k_max: Optional[int],
+    tol: float,
+) -> tuple[Preconditioner, np.ndarray, int, np.ndarray, np.ndarray]:
+    """Checked arguments of a solve and its starting residuals.
+
+    Returns the preconditioner (the identity for None), the initial guess
+    (zeros for None), the iteration cap (the dimension for None), the
+    initial residual r = b - op(x0) and its preconditioned form T(r).
+    """
+    m = op.dim
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ValueError(f"right-hand side must have length {m}")
+    if k_max is None:
+        k_max = m
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if tol < 0.0:
+        raise ValueError("tol must be nonnegative")
+    T = precond if precond is not None else _identity
+    if x0 is None:
+        x0 = np.zeros(m)
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (m,):
+            raise ValueError(f"initial guess must have length {m}")
+    # Both exactly linear maps and difference quotients vanish at 0, so the
+    # initial residual needs no operator evaluation for a zero guess.
+    r = b - np.asarray(op.apply(x0), dtype=float) if x0.any() else b.copy()
+    return T, x0, k_max, r, np.asarray(T(r), dtype=float)
+
+
+def _solved(x0: np.ndarray) -> KrylovResult:
+    """Result of a solve whose initial residual is zero: the guess itself."""
+    return KrylovResult(
+        x=x0.copy(),
+        residual_norm=0.0,
+        iterations=0,
+        converged=True,
+        breakdown=False,
+        initial_residual_norm=0.0,
+        residual_history=[0.0],
+    )
+
+
+def _weighted_norm(r: np.ndarray, y: np.ndarray) -> float:
+    """sqrt(r'y) for y = T(r); a negative r'y means T is not positive definite."""
+    sq = float(r @ y)
+    if sq < 0.0:
+        raise IndefinitePreconditionerError(
+            "preconditioner is not positive definite (negative inner product)"
+        )
+    return math.sqrt(sq)
 
 
 class _HessenbergLsq:
@@ -174,57 +232,26 @@ def gmres(
     x0: Optional[np.ndarray] = None,
     k_max: Optional[int] = None,
     tol: float = 1e-10,
-    early_exit: bool = True,
-    collect_basis: bool = False,
 ) -> KrylovResult:
     """Preconditioned GMRES without restarts.
 
     Arnoldi runs on the preconditioned operator with one classical
     Gram-Schmidt pass per step; the Hessenberg least-squares problem is kept
     triangular by incremental Givens rotations, so the preconditioned
-    residual estimate is available every iteration.  When ``early_exit`` is
-    set, iteration stops once that estimate drops below ``tol`` times the
-    initial preconditioned residual norm; disabling it reproduces the
-    fixed-iteration behaviour.  A vanishing Arnoldi normalization is flagged
-    as a (lucky) breakdown: the solution is exact in the current subspace and
-    is returned with ``converged=True``.
+    residual estimate is available every iteration.  Iteration stops once
+    that estimate drops below ``tol`` times the initial preconditioned
+    residual norm, so ``tol=0`` runs a fixed ``k_max`` iterations.  A
+    vanishing Arnoldi normalization is flagged as a (lucky) breakdown: the
+    solution is exact in the current subspace and is returned with
+    ``converged=True``.
     """
-    m = op.dim
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ValueError(f"right-hand side must have length {m}")
-    if k_max is None:
-        k_max = m
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    T = precond if precond is not None else _identity
-    if x0 is None:
-        x0 = np.zeros(m)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (m,):
-            raise ValueError(f"initial guess must have length {m}")
-
-    # Both exactly linear maps and difference quotients vanish at 0, so the
-    # initial residual needs no operator evaluation for a zero guess.
-    r = b - np.asarray(op.apply(x0), dtype=float) if x0.any() else b.copy()
-    z = np.asarray(T(r), dtype=float)
+    T, x0, k_max, _, z = _start(op, precond, b, x0, k_max, tol)
     beta = float(np.linalg.norm(z))
-    history = [beta]
     if beta == 0.0:
-        return KrylovResult(
-            x=x0.copy(),
-            residual_norm=0.0,
-            iterations=0,
-            converged=True,
-            breakdown=False,
-            initial_residual_norm=0.0,
-            residual_history=history,
-        )
+        return _solved(x0)
+    history = [beta]
 
-    V = np.zeros((m, k_max + 1))
+    V = np.zeros((op.dim, k_max + 1))
     V[:, 0] = z / beta
     lsq = _HessenbergLsq(beta)
     breakdown = False
@@ -243,7 +270,7 @@ def gmres(
             breakdown = True
             break
         V[:, k] = w / hnorm
-        if early_exit and est <= tol * beta:
+        if est <= tol * beta:
             break
 
     y, _ = lsq.solve()
@@ -257,7 +284,6 @@ def gmres(
         breakdown=breakdown,
         initial_residual_norm=beta,
         residual_history=history,
-        basis=V[:, :k].copy() if collect_basis else None,
     )
 
 
@@ -268,7 +294,6 @@ def minres(
     x0: Optional[np.ndarray] = None,
     k_max: Optional[int] = None,
     tol: float = 1e-10,
-    early_exit: bool = True,
 ) -> KrylovResult:
     """Preconditioned MINRES via the three-term Lanczos recurrence.
 
@@ -277,48 +302,16 @@ def minres(
     :class:`IndefinitePreconditionerError` since it indicates a violated
     caller contract.  Storage is a fixed handful of working vectors
     regardless of ``k_max``.  The residual estimate tracked is the
-    preconditioner-weighted norm of ``b - op(x)``; convergence and early exit
-    use the same relative criterion as :func:`gmres`.
+    preconditioner-weighted norm of ``b - op(x)``; convergence and the early
+    stop use the same relative criterion as :func:`gmres`.
     """
-    m = op.dim
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ValueError(f"right-hand side must have length {m}")
-    if k_max is None:
-        k_max = m
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if tol < 0.0:
-        raise ValueError("tol must be nonnegative")
-    T = precond if precond is not None else _identity
-    if x0 is None:
-        x0 = np.zeros(m)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (m,):
-            raise ValueError(f"initial guess must have length {m}")
+    T, x0, k_max, r1, y = _start(op, precond, b, x0, k_max, tol)
+    beta1 = _weighted_norm(r1, y)
+    if beta1 == 0.0:
+        return _solved(x0)
+    history = [beta1]
 
     x = x0.copy()
-    r1 = b - np.asarray(op.apply(x0), dtype=float) if x0.any() else b.copy()
-    y = np.asarray(T(r1), dtype=float)
-    beta1_sq = float(r1 @ y)
-    if beta1_sq < 0.0:
-        raise IndefinitePreconditionerError(
-            "preconditioner is not positive definite (negative inner product)"
-        )
-    beta1 = math.sqrt(beta1_sq)
-    history = [beta1]
-    if beta1 == 0.0:
-        return KrylovResult(
-            x=x,
-            residual_norm=0.0,
-            iterations=0,
-            converged=True,
-            breakdown=False,
-            initial_residual_norm=0.0,
-            residual_history=history,
-        )
-
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -326,8 +319,8 @@ def minres(
     phibar = beta1
     cs = -1.0
     sn = 0.0
-    w = np.zeros(m)
-    w2 = np.zeros(m)
+    w = np.zeros(op.dim)
+    w2 = np.zeros(op.dim)
     r2 = r1
     itn = 0
     breakdown = False
@@ -343,12 +336,7 @@ def minres(
         r2 = y
         y = np.asarray(T(r2), dtype=float)
         oldb = beta
-        beta_sq = float(r2 @ y)
-        if beta_sq < 0.0:
-            raise IndefinitePreconditionerError(
-                "preconditioner is not positive definite (negative inner product)"
-            )
-        beta = math.sqrt(beta_sq)
+        beta = _weighted_norm(r2, y)
 
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -368,7 +356,7 @@ def minres(
         if beta <= _EPS * beta1:
             breakdown = True
             break
-        if early_exit and phibar <= tol * beta1:
+        if phibar <= tol * beta1:
             break
 
     converged = breakdown or phibar <= tol * beta1
@@ -387,17 +375,6 @@ class SingularMatrixError(ValueError):
     """Raised when LAPACK's pivoted LU meets an exactly zero pivot."""
 
 
-@dataclass(frozen=True)
-class LUFactors:
-    """Explicit inverse of a factored matrix, applied by one matvec."""
-
-    inverse: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.inverse.shape[0]
-
-
 def _square_finite(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -407,26 +384,26 @@ def _square_finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def lu_factor(A: np.ndarray) -> LUFactors:
+def lu_factor(A: np.ndarray) -> np.ndarray:
     """Inverse of A from LAPACK's LU with partial pivoting (``np.linalg.inv``).
 
     Forming the inverse costs one LAPACK call per rebuild and makes every
-    apply a single BLAS matvec.
+    apply (:func:`lu_solve`) a single BLAS matvec.
     """
     A = _square_finite(A)
     try:
-        return LUFactors(inverse=np.linalg.inv(A))
+        return np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("matrix is singular: LU met an exactly zero pivot") from exc
 
 
-def lu_solve(factors: LUFactors, r: np.ndarray) -> np.ndarray:
-    """Apply the factored inverse to r."""
+def lu_solve(inverse: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Apply an inverse from :func:`lu_factor` to r."""
     r = np.asarray(r, dtype=float)
-    m = factors.order
+    m = inverse.shape[0]
     if r.shape != (m,):
         raise ValueError(f"right-hand side must have length {m}")
-    return np.dot(factors.inverse, r)
+    return np.dot(inverse, r)
 
 
 def dense_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ __all__ = [
     "constraint_residual",
     "terminal_residual",
     "terminal_cost",
-    "running_cost",
-    "objective_value",
     "initial_guess",
 ]
 
@@ -97,26 +95,6 @@ def terminal_residual(c: MinTimeConstants, x: np.ndarray) -> np.ndarray:
 def terminal_cost(p: np.ndarray) -> np.ndarray:
     """Terminal cost is the time-to-go itself, for every batch column of p."""
     return p[0]
-
-
-def running_cost(c: MinTimeConstants, u: np.ndarray) -> float:
-    """Slack-stabilizing running cost (pre-scaling, physical time)."""
-    return -c.w_d * u[1]
-
-
-def objective_value(c: MinTimeConstants, p: float, inputs) -> float:
-    """Cost of a horizon plan: the time-to-go plus the slack reward.
-
-    ``inputs`` is a sequence of (heading, slack) pairs; the integrand picks
-    up the time-to-go factor from the normalized horizon.  An empty plan
-    costs the terminal term alone.
-    """
-    total = float(p)
-    n = len(inputs)
-    if n:
-        dtau = 1.0 / n
-        total += sum(float(p) * running_cost(c, np.asarray(u)) * dtau for u in inputs)
-    return total
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

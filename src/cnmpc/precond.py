@@ -20,9 +20,8 @@ from .continuation import (
     TrajectoryDivergedError,
     assemble_jacobian,
     difference_operator,
-    symmetrize,
 )
-from .krylov import LUFactors, SingularMatrixError, lu_factor, lu_solve
+from .krylov import SingularMatrixError, lu_factor, lu_solve
 
 __all__ = [
     "PrecondConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "should_rebuild",
     "rebuild",
     "apply",
-    "as_operator",
 ]
 
 
@@ -41,37 +39,33 @@ class StalePreconditionerWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class PrecondConfig:
-    """Rebuild schedule and factorization options.
+    """Rebuild schedule.
 
     ``eps_t`` absorbs floating-point drift of the sampling grid against the
     rebuild period; the simulator sets it to half the sampling period.
     """
 
-    enabled: bool = True
     t_p: float = 0.2
-    symmetrize_before_factor: bool = False
     eps_t: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.enabled and self.t_p <= 0.0:
-            raise ValueError("rebuild period t_p must be positive when enabled")
+        if self.t_p <= 0.0:
+            raise ValueError("rebuild period t_p must be positive")
 
 
 @dataclass
 class PrecondState:
-    """Current inverse (``factors``) plus bookkeeping; replaced wholesale at
-    rebuilds."""
+    """Current inverse from :func:`~cnmpc.krylov.lu_factor` plus bookkeeping;
+    replaced wholesale at rebuilds."""
 
-    factors: Optional[LUFactors] = None
+    inverse: Optional[np.ndarray] = None
     built_at: Optional[float] = None
     rebuild_count: int = 0
     stale: bool = False
 
 
 def should_rebuild(cfg: PrecondConfig, state: PrecondState, t: float) -> bool:
-    """True when the schedule calls for fresh factors at time t."""
-    if not cfg.enabled:
-        return False
+    """True when the schedule calls for a fresh inverse at time t."""
     if state.built_at is None:
         return True
     return t >= state.built_at + cfg.t_p - cfg.eps_t
@@ -104,13 +98,11 @@ def rebuild(
         return _stale(prev, t, f"a failed Jacobian assembly ({exc})")
     if not np.isfinite(A).all():
         return _stale(prev, t, "a Jacobian with non-finite entries")
-    if cfg.symmetrize_before_factor:
-        A = symmetrize(A)
     try:
-        factors = lu_factor(A)
+        inverse = lu_factor(A)
     except SingularMatrixError as exc:
         return _stale(prev, t, f"a singular Jacobian ({exc})")
-    return PrecondState(factors=factors, built_at=t, rebuild_count=prev.rebuild_count + 1)
+    return PrecondState(inverse=inverse, built_at=t, rebuild_count=prev.rebuild_count + 1)
 
 
 def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
@@ -120,7 +112,7 @@ def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
         stacklevel=3,
     )
     return PrecondState(
-        factors=prev.factors,
+        inverse=prev.inverse,
         built_at=prev.built_at,
         rebuild_count=prev.rebuild_count,
         stale=True,
@@ -129,15 +121,6 @@ def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:
     """Matvec with the stored inverse; identity while none is built."""
-    if state.factors is None:
+    if state.inverse is None:
         return np.asarray(r, dtype=float)
-    return lu_solve(state.factors, r)
-
-
-def as_operator(state: PrecondState):
-    """Closure view of :func:`apply` for handing to the Krylov solvers."""
-
-    def op(r: np.ndarray) -> np.ndarray:
-        return apply(state, r)
-
-    return op
+    return lu_solve(state.inverse, r)

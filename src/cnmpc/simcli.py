@@ -8,6 +8,7 @@ per-step diagnostics to CSV and supporting run-to-run comparison reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import sys
@@ -72,7 +73,6 @@ class SimConfig:
     solver: str = "gmres"
     t_end: float = 2.0
     stop_radius: float = 1e-2
-    symmetrize_precond: bool = False
     cold_start_tol: float = 1e-6
     cold_start_max_newton: int = 50
     constants: MinTimeConstants = field(default_factory=MinTimeConstants)
@@ -171,18 +171,11 @@ def run_simulation(
     engine = ContinuationEngine(
         U=init.U,
         fd_step=cfg.h,
-        dt=cfg.dt,
         k_max=cfg.k_max,
         tol=cfg.tol,
         solver=cfg.solver,
-        early_exit=True,
     )
-    pcfg = precond.PrecondConfig(
-        enabled=cfg.precond_enabled,
-        t_p=cfg.t_p,
-        symmetrize_before_factor=cfg.symmetrize_precond,
-        eps_t=cfg.dt / 2.0,
-    )
+    pcfg = precond.PrecondConfig(t_p=cfg.t_p, eps_t=cfg.dt / 2.0)
     pstate = precond.PrecondState()
 
     records: list[StepRecord] = []
@@ -201,11 +194,15 @@ def run_simulation(
         # one residual at (U, x, t) serves the rebuild and the step
         base = optimality_residual(spec, engine.U, x, t)
         rebuilt = False
-        if precond.should_rebuild(pcfg, pstate, t):
-            pstate = precond.rebuild(spec, engine.U, x, t, cfg.h, pcfg, prev=pstate, base=base)
-            total_rebuild_evals += m
-            rebuilt = True
-        step_precond = precond.as_operator(pstate) if cfg.precond_enabled else None
+        step_precond = None
+        if cfg.precond_enabled:
+            if precond.should_rebuild(pcfg, pstate, t):
+                pstate = precond.rebuild(
+                    spec, engine.U, x, t, cfg.h, pcfg, prev=pstate, base=base
+                )
+                total_rebuild_evals += m
+                rebuilt = True
+            step_precond = functools.partial(precond.apply, pstate)
         u_applied, diag = continuation_step(engine, spec, x, t, step_precond, base=base)
         total_map_evals += diag.iterations
         records.append(
@@ -324,7 +321,7 @@ def _ratio(base: float, cand: float) -> float:
 def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     """Efficiency and quality ratios over the common step prefix.
 
-    Reports total solver iterations, map evaluations with and without the
+    Reports total solver iterations, map evaluations including the
     preconditioner's column builds, and max/median residual norms.  Runs on
     disjoint grids yield an empty report with a warning; mismatched grid
     lengths are aligned on their common prefix.
@@ -347,20 +344,19 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     base = baseline.records[:common]
     cand = candidate.records[:common]
 
-    def totals(records: list[StepRecord], result: SimResult) -> tuple[float, float, float]:
+    def totals(records: list[StepRecord], result: SimResult) -> tuple[float, float]:
         iters = float(sum(r.iterations for r in records))
         rebuild_evals = float(sum(result.decision_size for r in records if r.rebuilt))
-        return iters, iters, iters + rebuild_evals
+        return iters, iters + rebuild_evals
 
-    b_it, b_solver, b_all = totals(base, baseline)
-    c_it, c_solver, c_all = totals(cand, candidate)
+    b_it, b_all = totals(base, baseline)
+    c_it, c_all = totals(cand, candidate)
     b_max = max(r.norm_F for r in base)
     c_max = max(r.norm_F for r in cand)
     b_med = statistics.median(r.norm_F for r in base)
     c_med = statistics.median(r.norm_F for r in cand)
     metrics = {
         "iterations_total": (b_it, c_it, _ratio(b_it, c_it)),
-        "map_evals_solver": (b_solver, c_solver, _ratio(b_solver, c_solver)),
         "map_evals_with_rebuilds": (b_all, c_all, _ratio(b_all, c_all)),
         "norm_F_max": (b_max, c_max, _ratio(b_max, c_max)),
         "norm_F_median": (b_med, c_med, _ratio(b_med, c_med)),
@@ -389,6 +385,23 @@ def _parse_bool(token: str) -> bool:
     if low in ("off", "false", "0", "no"):
         return False
     raise ValueError(f"expected on/off, got {token!r}")
+
+
+# Solver settings: config-file key -> (SimConfig field, parser, flag help).
+# A key with help text is also the command-line flag --<key>; flag values
+# arrive as strings and go through the same parser as file values.
+_SETTINGS: dict[str, tuple[str, Callable[[str], object], Optional[str]]] = {
+    "kmax": ("k_max", int, "max Krylov iterations per step"),
+    "tp": ("t_p", float, "preconditioner rebuild period (s)"),
+    "precond": ("precond_enabled", _parse_bool, "preconditioning: on or off"),
+    "solver": ("solver", str, "Krylov solver: gmres or minres"),
+    "dt": ("dt", float, "system sampling period (s)"),
+    "N": ("n_steps", int, "horizon step count"),
+    "h": ("h", float, "forward-difference step"),
+    "tol": ("tol", float, "Krylov relative tolerance"),
+    "tmax": ("t_end", float, "simulation time cap (s)"),
+    "stop_radius": ("stop_radius", float, None),
+}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -429,49 +442,25 @@ def _config_from_sources(
         kwargs["case_preset"] = case
 
     const_kwargs: dict = {}
-    file_field_map = {
-        "dt": ("dt", float),
-        "N": ("n_steps", int),
-        "h": ("h", float),
-        "tol": ("tol", float),
-        "kmax": ("k_max", int),
-        "tp": ("t_p", float),
-        "precond": ("precond_enabled", _parse_bool),
-        "solver": ("solver", str),
-        "tmax": ("t_end", float),
-        "stop_radius": ("stop_radius", float),
-        "symmetrize": ("symmetrize_precond", _parse_bool),
-    }
-    for key, value in file_values.items():
+    given = [(f"config key {key}", key, value) for key, value in file_values.items()]
+    given += [
+        (f"--{key}", key, getattr(args, key))
+        for key, (_, _, flag_help) in _SETTINGS.items()
+        if flag_help is not None and getattr(args, key) is not None
+    ]
+    for origin, key, value in given:
         if key == "case":
             continue
-        if key in file_field_map:
-            name, conv = file_field_map[key]
+        if key in _SETTINGS:
+            name, conv, _ = _SETTINGS[key]
             try:
                 kwargs[name] = conv(value)
             except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from exc
+                raise ValueError(f"{origin}: {exc}") from exc
         elif key in _CONFIG_CONSTANT_KEYS:
             const_kwargs[_CONFIG_CONSTANT_KEYS[key]] = float(value)
         else:
             raise ValueError(f"unknown config key {key!r}")
-
-    flag_map = {
-        "kmax": "k_max",
-        "tp": "t_p",
-        "solver": "solver",
-        "dt": "dt",
-        "N": "n_steps",
-        "h": "h",
-        "tol": "tol",
-        "tmax": "t_end",
-    }
-    for flag, name in flag_map.items():
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[name] = value
-    if args.precond is not None:
-        kwargs["precond_enabled"] = _parse_bool(args.precond)
     if args.out is not None:
         kwargs["out_path"] = Path(args.out)
     if const_kwargs:
@@ -489,15 +478,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--case", type=int, choices=sorted(PRESETS), help="experiment preset")
-    parser.add_argument("--kmax", type=int, help="max Krylov iterations per step")
-    parser.add_argument("--tp", type=float, help="preconditioner rebuild period (s)")
-    parser.add_argument("--precond", choices=["on", "off"], help="toggle preconditioning")
-    parser.add_argument("--solver", choices=["gmres", "minres"], help="Krylov solver")
-    parser.add_argument("--dt", type=float, help="system sampling period (s)")
-    parser.add_argument("--N", type=int, help="horizon step count")
-    parser.add_argument("--h", type=float, help="forward-difference step")
-    parser.add_argument("--tol", type=float, help="Krylov relative tolerance")
-    parser.add_argument("--tmax", type=float, help="simulation time cap (s)")
+    for key, (_, _, flag_help) in _SETTINGS.items():
+        if flag_help is not None:
+            parser.add_argument(f"--{key}", help=flag_help)
     parser.add_argument("--out", type=Path, help="write per-step diagnostics CSV here")
     parser.add_argument("--config", type=Path, help="key = value settings file")
     return parser

@@ -11,9 +11,7 @@ from cnmpc.mintime import (
     constraint_residual,
     dynamics,
     initial_guess,
-    objective_value,
     plant_rate,
-    running_cost,
     terminal_cost,
     terminal_residual,
 )
@@ -67,13 +65,6 @@ def test_terminal_residual_examples(consts):
 
 def test_costs(consts):
     assert terminal_cost(np.array([1.6])) == 1.6
-    assert math.isclose(running_cost(consts, np.array([0.5, 0.2])), -0.001)
-
-
-def test_objective_zero_length_horizon_is_terminal_only(consts):
-    assert objective_value(consts, 1.6, []) == 1.6
-    full = objective_value(consts, 1.0, [(0.8, 0.2), (0.8, 0.2)])
-    assert math.isclose(full, 1.0 - consts.w_d * 0.2)
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,37 +24,29 @@ from helpers import fragile_spec
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PrecondConfig(enabled=True, t_p=0.0)
-    PrecondConfig(enabled=False, t_p=0.0)  # irrelevant when disabled
+        PrecondConfig(t_p=0.0)
 
 
 # ---------------------------------------------------------------------------
 # schedule
 
 
-def test_should_rebuild_disabled_never():
-    cfg = PrecondConfig(enabled=False)
-    st_ = PrecondState()
-    assert not precond.should_rebuild(cfg, st_, 0.0)
-    assert not precond.should_rebuild(cfg, st_, 123.0)
-
-
 def test_should_rebuild_when_no_factors():
-    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    cfg = PrecondConfig(t_p=0.2)
     assert precond.should_rebuild(cfg, PrecondState(), 0.0)
 
 
 def test_rebuild_schedule_on_sampling_grid():
     # dt = 0.02, t_p = 0.2: rebuilds exactly at steps 0, 10, 20, ...
     dt = 0.02
-    cfg = PrecondConfig(enabled=True, t_p=0.2, eps_t=dt / 2)
+    cfg = PrecondConfig(t_p=0.2, eps_t=dt / 2)
     state = PrecondState()
     fired = []
     for i in range(60):
         t = i * dt
         if precond.should_rebuild(cfg, state, t):
             fired.append(i)
-            state = PrecondState(factors=None, built_at=t)
+            state = PrecondState(inverse=None, built_at=t)
     assert fired == [0, 10, 20, 30, 40, 50]
 
 
@@ -66,14 +59,14 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
     # rebuild periods that are sampling-grid multiples, as in the presets
     dt = 0.02
     t_p = period_steps * dt
-    cfg = PrecondConfig(enabled=True, t_p=t_p, eps_t=dt / 2)
+    cfg = PrecondConfig(t_p=t_p, eps_t=dt / 2)
     state = PrecondState()
     count = 0
     i = 0
     while (t := i * dt) < t_end:
         if precond.should_rebuild(cfg, state, t):
             count += 1
-            state = PrecondState(factors=None, built_at=t)
+            state = PrecondState(inverse=None, built_at=t)
         i += 1
     assert count == math.ceil(t_end / t_p)
 
@@ -84,10 +77,9 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
 
 def test_rebuild_mintime_factors(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    cfg = PrecondConfig(t_p=0.2)
     state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, cfg)
-    assert state.factors is not None
-    assert state.factors.order == 33
+    assert state.inverse.shape == (33, 33)
     assert state.built_at == 0.0
     assert state.rebuild_count == 1
     assert not state.stale
@@ -95,19 +87,19 @@ def test_rebuild_mintime_factors(consts, spec10):
 
 def test_rebuild_deterministic_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    cfg = PrecondConfig(t_p=0.2)
     a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
     b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
-    assert np.array_equal(a.factors.inverse, b.factors.inverse)
+    assert np.array_equal(a.inverse, b.inverse)
 
 
 def test_rebuild_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
-    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    cfg = PrecondConfig(t_p=0.2)
     base = optimality_residual(spec10, U, consts.start, 0.0)
     own = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
     given_base = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg, base=base)
-    assert np.array_equal(own.factors.inverse, given_base.factors.inverse)
+    assert np.array_equal(own.inverse, given_base.inverse)
 
 
 def test_rebuild_singular_keeps_previous_factors():
@@ -121,12 +113,12 @@ def test_rebuild_singular_keeps_previous_factors():
 
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([1.0]))
-    cfg = PrecondConfig(enabled=True, t_p=0.1)
-    prev = PrecondState(factors=lu_factor(np.eye(1)), built_at=-0.1, rebuild_count=3)
+    cfg = PrecondConfig(t_p=0.1)
+    prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1, rebuild_count=3)
     with pytest.warns(StalePreconditionerWarning):
         state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, cfg, prev=prev)
     assert state.stale
-    assert state.factors is prev.factors
+    assert state.inverse is prev.inverse
     assert state.built_at == -0.1
     assert state.rebuild_count == 3
 
@@ -137,30 +129,14 @@ def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     # JacobianAssemblyError; "residual": the Jacobian comes back with NaNs
     spec = fragile_spec(blow_up)
     U = DecisionVector(spec.dims, np.full(3, 0.3))
-    cfg = PrecondConfig(enabled=True, t_p=0.1)
-    prev = PrecondState(factors=lu_factor(np.eye(3)), built_at=-0.1, rebuild_count=3)
+    cfg = PrecondConfig(t_p=0.1)
+    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1, rebuild_count=3)
     with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
         state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, cfg, prev=prev)
     assert state.stale
-    assert state.factors is prev.factors
+    assert state.inverse is prev.inverse
     assert state.built_at == -0.1
     assert state.rebuild_count == 3
-
-
-def test_rebuild_symmetrize_option(consts, spec10):
-    U = initial_guess(consts, 10)
-    plain = precond.rebuild(
-        spec10, U, consts.start, 0.0, 1e-5, PrecondConfig(enabled=True, t_p=0.2)
-    )
-    sym = precond.rebuild(
-        spec10,
-        U,
-        consts.start,
-        0.0,
-        1e-5,
-        PrecondConfig(enabled=True, t_p=0.2, symmetrize_before_factor=True),
-    )
-    assert not np.array_equal(plain.factors.inverse, sym.factors.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +150,7 @@ def test_apply_identity_without_factors():
 
 
 def test_apply_scaled_identity_factors():
-    state = PrecondState(factors=lu_factor(2.0 * np.eye(4)), built_at=0.0)
+    state = PrecondState(inverse=lu_factor(2.0 * np.eye(4)), built_at=0.0)
     out = precond.apply(state, np.full(4, 2.0))
     assert np.allclose(out, 1.0)
 
@@ -182,7 +158,7 @@ def test_apply_scaled_identity_factors():
 def test_apply_residual_check():
     rng = np.random.default_rng(31)
     A = rng.standard_normal((20, 20))
-    state = PrecondState(factors=lu_factor(A), built_at=0.0)
+    state = PrecondState(inverse=lu_factor(A), built_at=0.0)
     r = rng.standard_normal(20)
     z = precond.apply(state, r)
     assert np.linalg.norm(A @ z - r) <= 1e-10 * np.linalg.norm(r)
@@ -193,7 +169,7 @@ def test_apply_residual_check():
 def test_apply_is_linear(alpha, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-    state = PrecondState(factors=lu_factor(A), built_at=0.0)
+    state = PrecondState(inverse=lu_factor(A), built_at=0.0)
     r1, r2 = rng.standard_normal((2, 8))
     lhs = precond.apply(state, alpha * r1 + r2)
     rhs = alpha * precond.apply(state, r1) + precond.apply(state, r2)
@@ -202,13 +178,13 @@ def test_apply_is_linear(alpha, seed):
 
 def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    cfg = PrecondConfig(enabled=True, t_p=0.2)
+    cfg = PrecondConfig(t_p=0.2)
     state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, cfg)
     A = assemble_jacobian(difference_operator(spec10, res.U, consts.start, 0.0, 1e-5))
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
     out = gmres(
-        LinearMap(33, lambda v: A @ v), precond.as_operator(state), b, k_max=33, tol=1e-10
+        LinearMap(33, lambda v: A @ v), functools.partial(precond.apply, state), b, k_max=33, tol=1e-10
     )
     assert out.iterations <= 2
     assert out.converged

@@ -1,6 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cnmpc
+from cnmpc import precond
 from cnmpc.continuation import ColdStartError
 from cnmpc.simcli import (
     CSV_HEADER,
@@ -265,6 +271,20 @@ def test_minres_solver_closed_loop(consts):
     assert all(np.isfinite(r.norm_F) for r in result.records)
 
 
+def test_run_without_precond_never_consults_schedule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("preconditioner used with precond off")
+
+    for name in ("should_rebuild", "rebuild", "apply"):
+        monkeypatch.setattr(precond, name, refuse)
+    cfg = SimConfig(case_preset=1, **PRESETS[1])
+    cfg.t_end = 0.1
+    result = run_simulation(cfg)
+    assert len(result.records) == 5
+    assert not any(r.rebuilt for r in result.records)
+    assert result.total_rebuild_evals == 0
+
+
 def test_cold_start_failure_raises_with_residual():
     cfg = SimConfig(case_preset=1, **PRESETS[1])
     cfg.constants = type(cfg.constants)(x_f=-1.0, y_f=0.0)
@@ -314,6 +334,16 @@ def test_compare_report_formats(preset_results):
     assert len(csv.splitlines()) == 1 + len(report.metrics)
 
 
+def test_compare_reports_exactly_four_metrics(preset_results):
+    report = compare_runs(preset_results[1], preset_results[2])
+    assert list(report.metrics) == [
+        "iterations_total",
+        "map_evals_with_rebuilds",
+        "norm_F_max",
+        "norm_F_median",
+    ]
+
+
 def test_compare_iteration_reduction(preset_results):
     report = compare_runs(preset_results[1], preset_results[3])
     assert report.metrics["iterations_total"][2] <= 0.25
@@ -338,3 +368,19 @@ def test_main_cold_start_failure_exit_code(tmp_path, capsys):
     code = main(["--config", str(cfg_file)])
     assert code == 3
     assert "residual" in capsys.readouterr().err
+
+
+def test_module_entry_point_usage_error_without_warning():
+    # the package __init__ must not import simcli, or ``python -m`` warns
+    # that the module was found in sys.modules before it ran
+    src = str(Path(cnmpc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cnmpc.simcli", "--case", "3", "--solver", "minres"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "minres" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
