@@ -525,6 +525,49 @@ class InitialSolveResult(NamedTuple):
     newton_iterations: int
 
 
+# Step lengths the cold start backtracks to when the full Newton step does
+# not lower the residual norm: 1/2, 1/4, ..., 2**-20 (exact powers of two).
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 21))
+
+
+def _scored(spec: OcpSpec, U: DecisionVector, x0: np.ndarray, t0: float):
+    """(F(U), its norm); (None, inf) where the trajectory of U diverges."""
+    try:
+        F = optimality_residual(spec, U, x0, t0)
+    except TrajectoryDivergedError:
+        return None, float("inf")
+    return F, float(np.linalg.norm(F))
+
+
+def _stuck(cause: str, U: DecisionVector, norm: float) -> ColdStartError:
+    return ColdStartError(f"{cause} in cold start (residual norm {norm:.3e})", U, norm)
+
+
+def _backtrack(
+    spec: OcpSpec, U: DecisionVector, delta: np.ndarray, x0: np.ndarray, t0: float, norm: float
+):
+    """First of the steps U + delta * 2**-k, k = 1..20, whose residual norm is
+    below ``norm``, as (U_try, F, norm_try); None when none is.
+
+    One block residual scores all twenty trials.  If a trial's trajectory
+    diverges the block raises, and the trials are scored one at a time in
+    order, a diverging one counting as infinite (as :func:`assemble_jacobian`
+    re-runs its columns).  Block columns equal single evaluations bitwise,
+    so either way the accepted trial is the one a sequential loop accepts.
+    """
+    block = U.data[:, None] + delta[:, None] * _HALVINGS
+    rows = block.T.copy()  # one contiguous trial per row
+    try:
+        R = block_residual(spec, block, x0, t0).T.copy()
+        scores = ((F, float(np.linalg.norm(F))) for F in R)
+    except TrajectoryDivergedError:
+        scores = (_scored(spec, DecisionVector(U.dims, z), x0, t0) for z in rows)
+    for z, (F, norm_try) in zip(rows, scores):
+        if norm_try < norm:
+            return DecisionVector(U.dims, z), F, norm_try
+    return None
+
+
 def initial_solve(
     spec: OcpSpec,
     x0: np.ndarray,
@@ -536,47 +579,52 @@ def initial_solve(
 ) -> InitialSolveResult:
     """Damped Newton solve of the stationarity system for the cold start.
 
-    Assembles the dense difference Jacobian each iteration, takes the direct
-    Newton step, and backtracks on the residual norm (up to 20 halvings).
-    Stops at ``tol_init`` or after ``max_newton`` iterations, returning the
-    final iterate and its residual norm either way; a persistently singular
-    Jacobian raises :class:`ColdStartError` carrying the best iterate.
+    Assembles the dense difference Jacobian each iteration and takes the
+    direct Newton step when it lowers the residual norm.  Otherwise it
+    backtracks: the first of the steps halved 1 to 20 times that lowers the
+    norm wins, all twenty scored in one block residual, and when none does
+    the solve stops.  Stops at ``tol_init`` or after ``max_newton``
+    iterations, returning the final iterate and its residual norm either way.
+
+    A guess whose trajectory diverges, a failed Jacobian assembly, a
+    Jacobian with non-finite entries and a Jacobian that stays singular (or
+    turns non-finite) after a small diagonal shift raise
+    :class:`ColdStartError` carrying the best iterate and its residual norm.
     """
     U = U_guess.copy()
-    F = optimality_residual(spec, U, x0, t0)
-    norm = float(np.linalg.norm(F))
+    F, norm = _scored(spec, U, x0, t0)
+    if F is None:
+        raise _stuck("non-finite trajectory of the guess", U, norm)
     m = spec.dims.decision_size
     iterations = 0
     for _ in range(max_newton):
         if norm <= tol_init:
             break
         op = difference_operator(spec, U, x0, t0, fd_step, base=F)
-        A = assemble_jacobian(op)
+        try:
+            A = assemble_jacobian(op)
+        except (JacobianAssemblyError, TrajectoryDivergedError) as exc:
+            raise _stuck(f"failed Jacobian assembly ({exc})", U, norm) from exc
+        if not np.isfinite(A).all():
+            raise _stuck("non-finite Jacobian", U, norm)
         try:
             delta = dense_solve(A, -F)
         except SingularMatrixError:
-            shift = 1e-10 * float(np.linalg.norm(A))
+            shifted = A + 1e-10 * float(np.linalg.norm(A)) * np.eye(m)
+            if not np.isfinite(shifted).all():
+                raise _stuck("singular Jacobian with a non-finite shift", U, norm)
             try:
-                delta = dense_solve(A + shift * np.eye(m), -F)
+                delta = dense_solve(shifted, -F)
             except SingularMatrixError as exc:
-                raise ColdStartError(
-                    f"singular Jacobian in cold start (residual norm {norm:.3e})", U, norm
-                ) from exc
-        alpha = 1.0
-        improved = False
-        for _ in range(21):
-            U_try = DecisionVector(U.dims, U.data + alpha * delta)
-            try:
-                F_try = optimality_residual(spec, U_try, x0, t0)
-                norm_try = float(np.linalg.norm(F_try))
-            except TrajectoryDivergedError:
-                norm_try = float("inf")
-            if norm_try < norm:
-                U, F, norm = U_try, F_try, norm_try
-                improved = True
-                break
-            alpha /= 2.0
+                raise _stuck("singular Jacobian", U, norm) from exc
         iterations += 1
-        if not improved:
+        U_try = DecisionVector(U.dims, U.data + delta)
+        F_try, norm_try = _scored(spec, U_try, x0, t0)
+        if norm_try < norm:
+            U, F, norm = U_try, F_try, norm_try
+            continue
+        found = _backtrack(spec, U, delta, x0, t0, norm)
+        if found is None:
             break
+        U, F, norm = found
     return InitialSolveResult(U=U, residual_norm=norm, newton_iterations=iterations)

@@ -4,7 +4,18 @@ import math
 
 import numpy as np
 
-from cnmpc.continuation import DecisionVector, OcpDims, OcpSpec
+from cnmpc.continuation import (
+    ColdStartError,
+    DecisionVector,
+    InitialSolveResult,
+    OcpDims,
+    OcpSpec,
+    TrajectoryDivergedError,
+    assemble_jacobian,
+    difference_operator,
+    optimality_residual,
+)
+from cnmpc.krylov import SingularMatrixError, dense_solve
 
 
 def quadratic_spec(n_steps=3, a=0.5, b=1.0, q=1.0, r=1.0, s=2.0):
@@ -54,6 +65,78 @@ def fragile_spec(blow_up, n_steps=3, u_base=0.3):
 
         spec.H_u = H_u_fragile
     return spec
+
+
+def threshold_spec(blow_up, limit, n_steps=3):
+    """The scalar LQ problem of :func:`quadratic_spec`, finite while every
+    control stays within ``[-limit, limit]`` and broken beyond it.
+
+    ``blow_up`` acts as in :func:`fragile_spec`: ``"state"`` makes the
+    dynamics infinite, so the state recursion diverges, and ``"residual"``
+    turns the control gradient NaN, which no recursion check sees.
+    """
+    spec = quadratic_spec(n_steps)
+    f, H_u = spec.f, spec.H_u
+    if blow_up == "state":
+
+        def f_threshold(tau, x, u, p):
+            return f(tau, x, u, p) + np.where(np.abs(u[0]) > limit, np.inf, 0.0)
+
+        spec.f = f_threshold
+    else:
+
+        def H_u_threshold(tau, x, lam, u, mu, p):
+            return H_u(tau, x, lam, u, mu, p) + np.where(np.abs(u[0]) > limit, np.nan, 0.0)
+
+        spec.H_u = H_u_threshold
+    return spec
+
+
+def sequential_initial_solve(
+    spec, x0, t0, U_guess, tol_init=1e-6, max_newton=50, fd_step=1e-5
+):
+    """Independent oracle: the damped Newton cold start with its backtracking
+    written as a loop, one residual evaluation per trial step.
+
+    Each iteration tries the full Newton step and then up to 20 halvings of
+    it, and takes the first that lowers the residual norm (a diverging trial
+    counts as infinite); it stops when none does.
+    """
+    U = U_guess.copy()
+    F = optimality_residual(spec, U, x0, t0)
+    norm = float(np.linalg.norm(F))
+    m = spec.dims.decision_size
+    iterations = 0
+    for _ in range(max_newton):
+        if norm <= tol_init:
+            break
+        A = assemble_jacobian(difference_operator(spec, U, x0, t0, fd_step, base=F))
+        try:
+            delta = dense_solve(A, -F)
+        except SingularMatrixError:
+            shift = 1e-10 * float(np.linalg.norm(A))
+            try:
+                delta = dense_solve(A + shift * np.eye(m), -F)
+            except SingularMatrixError as exc:
+                raise ColdStartError("singular Jacobian", U, norm) from exc
+        alpha = 1.0
+        improved = False
+        for _ in range(21):
+            U_try = DecisionVector(U.dims, U.data + alpha * delta)
+            try:
+                F_try = optimality_residual(spec, U_try, x0, t0)
+                norm_try = float(np.linalg.norm(F_try))
+            except TrajectoryDivergedError:
+                norm_try = float("inf")
+            if norm_try < norm:
+                U, F, norm = U_try, F_try, norm_try
+                improved = True
+                break
+            alpha /= 2.0
+        iterations += 1
+        if not improved:
+            break
+    return InitialSolveResult(U=U, residual_norm=norm, newton_iterations=iterations)
 
 
 def random_decision(dims, seed):

@@ -1,4 +1,6 @@
-"""pytest-benchmark smoke tests of the two hottest layers at N = 10 (m = 33).
+"""pytest-benchmark smoke tests of the hottest layers: the rebuild block and
+the LU at N = 10 (m = 33), and the cold start's block of halved Newton steps
+at N = 40 (m = 123).
 
 They assert on the results only, never on the timings, so they pass on any
 machine. ``pytest tests/test_bench_smoke.py --benchmark-autosave`` adds a run
@@ -15,8 +17,8 @@ from cnmpc.continuation import (
     difference_operator,
     optimality_residual,
 )
-from cnmpc.krylov import lu_factor, lu_solve
-from cnmpc.mintime import initial_guess
+from cnmpc.krylov import dense_solve, lu_factor, lu_solve
+from cnmpc.mintime import initial_guess, problem_spec
 
 EPS = np.finfo(float).eps
 SMOKE = pytest.mark.benchmark(max_time=0.2, min_rounds=5)
@@ -32,6 +34,23 @@ def test_bench_block_residual_rebuild_block(benchmark, consts, spec10):
     assert np.isfinite(R).all()
     U.data[:] = Z[:, 7]
     assert np.array_equal(R[:, 7], optimality_residual(spec10, U, consts.start))
+
+
+@SMOKE
+def test_bench_block_residual_halving_block(benchmark, consts):
+    # the block a cold start scores when its full Newton step is rejected:
+    # the first Newton step at N = 40 halved 1 to 20 times
+    spec = problem_spec(consts, 40)
+    U = initial_guess(consts, 40)
+    op = difference_operator(spec, U, consts.start, 0.0, 1e-5)
+    delta = dense_solve(assemble_jacobian(op), -optimality_residual(spec, U, consts.start))
+    Z = U.data[:, None] + delta[:, None] * 0.5 ** np.arange(1, 21)
+    R = benchmark(block_residual, spec, Z, consts.start)
+    assert R.shape == (123, 20)
+    assert np.isfinite(R).all()
+    for k in (0, 19):
+        U.data[:] = Z[:, k]
+        assert np.array_equal(R[:, k], optimality_residual(spec, U, consts.start))
 
 
 @SMOKE

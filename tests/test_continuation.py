@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cnmpc import continuation
 from cnmpc.continuation import (
     ColdStartError,
     ContinuationEngine,
@@ -30,6 +32,8 @@ from helpers import (
     quadratic_spec,
     random_decision,
     residual_rows,
+    sequential_initial_solve,
+    threshold_spec,
 )
 
 
@@ -210,9 +214,10 @@ def test_residual_deterministic_bitwise(consts, spec10):
 @settings(deadline=None, max_examples=25)
 @given(
     st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=20),
     st.integers(min_value=0, max_value=2**20),
 )
+@example(N=40, K=20, seed=0)  # the cold start's block of halved Newton steps
 def test_block_residual_columns_match_single_evaluations(N, K, seed):
     c = MinTimeConstants()
     spec = problem_spec(c, N)
@@ -523,3 +528,150 @@ def test_initial_solve_persistent_singularity_raises_with_best():
     with pytest.raises(ColdStartError) as err:
         initial_solve(spec, np.zeros(1), 0.0, U, tol_init=1e-10, max_newton=3)
     assert err.value.best is not None
+
+
+def _solve_outcome(solve, spec, x0, U, **kw):
+    """Bitwise outcome of a cold start: the iterate's bytes, the residual
+    norm and the iteration count."""
+    res = solve(spec, x0, 0.0, U, **kw)
+    return res.U.data.tobytes(), res.residual_norm, res.newton_iterations
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=0.6, max_value=1.0),
+    st.floats(min_value=-0.15, max_value=0.15),
+    st.floats(min_value=1.0, max_value=2.0),
+)
+# the canonical constants stall at N = 20 and N = 40, where the halvings run
+@example(N=20, c_u=MinTimeConstants().c_u, offset=None, distance=None)
+@example(N=40, c_u=MinTimeConstants().c_u, offset=None, distance=None)
+def test_initial_solve_equals_sequential_backtracking_oracle(N, c_u, offset, distance):
+    # feasible targets: bearing within the heading band, as the benchmark panel draws them
+    if offset is None:
+        c = MinTimeConstants()
+    else:
+        bearing = c_u + offset
+        c = MinTimeConstants(
+            c_u=c_u, x_f=distance * math.cos(bearing), y_f=distance * math.sin(bearing)
+        )
+    spec = problem_spec(c, N)
+    U = initial_guess(c, N)
+    assert _solve_outcome(initial_solve, spec, c.start, U) == _solve_outcome(
+        sequential_initial_solve, spec, c.start, U
+    )
+
+
+def test_stalled_cold_start_scores_halvings_in_blocks(consts):
+    spec = problem_spec(consts, 20)
+    blocks = []
+    original = continuation.block_residual
+
+    def spy(spec_, Z, x, t=0.0):
+        if np.ndim(Z) == 2:
+            blocks.append(Z.shape)
+        return original(spec_, Z, x, t)
+
+    with mock.patch.object(continuation, "block_residual", spy):
+        res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, 20))
+    assert res.residual_norm > 1e-6  # the documented N = 20 stall
+    assert (spec.dims.decision_size, 20) in blocks
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.sampled_from(["state", "residual"]),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=0.05, max_value=0.45),
+)
+@example(blow_up="state", N=3, fraction=0.3)
+@example(blow_up="residual", N=3, fraction=0.3)
+def test_initial_solve_backtracks_past_broken_trials(blow_up, N, fraction):
+    # The full Newton step and its first halving leave the region where the
+    # problem is finite: the state overflows (the block raises and the trials
+    # are re-scored one at a time) or the residual turns NaN.
+    x0 = np.array([1.0])
+    zero = DecisionVector.zeros(quadratic_spec(N).dims)
+    solution = initial_solve(quadratic_spec(N), x0, 0.0, zero, tol_init=1e-12).U.data
+    spec = threshold_spec(blow_up, fraction * np.max(np.abs(solution)), N)
+    broken = []
+    original = continuation.block_residual
+
+    def spy(spec_, Z, x, t=0.0):
+        try:
+            R = original(spec_, Z, x, t)
+        except TrajectoryDivergedError:
+            broken.append(np.ndim(Z))
+            raise
+        if np.isnan(R).any():
+            broken.append(np.ndim(Z))
+        return R
+
+    with mock.patch.object(continuation, "block_residual", spy):
+        try:
+            got = _solve_outcome(initial_solve, spec, x0, zero, max_newton=8)
+        except ColdStartError:
+            got = None
+    assert 2 in broken  # a block of halved steps met the broken region
+    try:
+        want = _solve_outcome(sequential_initial_solve, spec, x0, zero, max_newton=8)
+    except (JacobianAssemblyError, TrajectoryDivergedError):
+        # an iterate came within one difference step of the limit: the
+        # oracle's assembly fails where the cold start reports it
+        want = None
+    assert got == want
+
+
+@pytest.mark.parametrize("N", [3, 10, 40])
+def test_initial_solve_stops_at_the_rounding_floor(N):
+    # with an unreachable tolerance the solve stops once no halved step
+    # lowers the norm; a step that rounds back to the iterate (equal norm)
+    # must not count as progress
+    spec = quadratic_spec(N)
+    x0 = np.array([1.0])
+    zero = DecisionVector.zeros(spec.dims)
+    got = _solve_outcome(initial_solve, spec, x0, zero, tol_init=0.0)
+    assert got == _solve_outcome(sequential_initial_solve, spec, x0, zero, tol_init=0.0)
+    assert got[2] < 50
+
+
+def test_initial_solve_diverging_guess_raises_cold_start_error():
+    spec = threshold_spec("state", 1.0)
+    guess = DecisionVector(spec.dims, np.full(3, 2.0))
+    with pytest.raises(ColdStartError) as err:
+        initial_solve(spec, np.array([1.0]), 0.0, guess)
+    assert np.array_equal(err.value.best.data, guess.data)
+    assert err.value.residual_norm == math.inf
+
+
+@pytest.mark.parametrize("blow_up", ["state", "residual"])
+def test_initial_solve_broken_jacobian_raises_cold_start_error(blow_up):
+    # every difference column diverges ("state": the assembly fails) or is
+    # NaN ("residual": the Jacobian is not finite)
+    spec = fragile_spec(blow_up)
+    guess = DecisionVector(spec.dims, np.full(3, 0.3))
+    x0 = np.array([0.5])
+    norm = float(np.linalg.norm(optimality_residual(spec, guess, x0)))
+    with np.errstate(over="ignore"), pytest.raises(ColdStartError) as err:
+        initial_solve(spec, x0, 0.0, guess)
+    assert np.array_equal(err.value.best.data, guess.data)
+    assert err.value.residual_norm == norm
+
+
+def test_initial_solve_non_finite_shift_raises_cold_start_error():
+    # the singular Jacobian of the shift-retry test, scaled so that its
+    # norm, and with it the diagonal shift, overflows
+    dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=1, N=1)
+
+    def f(tau, x, u, p):
+        return np.array([u[0]])
+
+    def H_u(tau, x, lam, u, mu, p):
+        return np.array([1e300 * (u[0] + 1.0)])
+
+    spec = OcpSpec(dims=dims, f=f, H_u=H_u)
+    guess = DecisionVector(dims, np.array([2.0, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ColdStartError) as err:
+        initial_solve(spec, np.zeros(1), 0.0, guess)
+    assert np.array_equal(err.value.best.data, guess.data)

@@ -370,6 +370,24 @@ def test_main_cold_start_failure_exit_code(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "A = 1e300",  # the guess's trajectory overflows at the first residual
+        "wd = 1e300",  # the Jacobian is singular and its norm overflows
+    ],
+)
+def test_main_cold_start_breakdown_exit_code(tmp_path, capsys, setting):
+    cfg_file = tmp_path / "extreme.cfg"
+    cfg_file.write_text(f"case = 1\n{setting}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--config", str(cfg_file)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_usage_error_without_warning():
     # the package __init__ must not import simcli, or ``python -m`` warns
     # that the module was found in sys.modules before it ran
