@@ -2,11 +2,15 @@
 """Run the four canonical benchmark cases and write CSVs plus comparison
 reports into an output directory.
 
+Each CSV's SHA-256 is printed next to its path, so two builds' outputs are
+byte-identical exactly when the printed digests are.
+
 Usage:
     python scripts/run_cases.py [--outdir results]
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -29,11 +33,12 @@ def main(argv=None) -> int:
         res = results[case]
         path = args.outdir / f"case{case}.csv"
         write_csv(res, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
         arrival = f"{res.arrival_time:.4f} s" if res.arrival_time is not None else "none"
         print(
             f"case {case}: {len(res.records):3d} steps, arrival {arrival}, "
             f"{res.total_map_evals:4d} solver evals, {res.total_rebuild_evals:4d} "
-            f"rebuild evals, {elapsed:.2f} s -> {path}"
+            f"rebuild evals, {elapsed:.2f} s -> {path} sha256 {digest}"
         )
 
     for base, cand in ((1, 2), (1, 3), (3, 4)):

@@ -31,7 +31,6 @@ __all__ = [
     "StepDiagnostics",
     "InitialSolveResult",
     "TrajectoryDivergedError",
-    "JacobianAssemblyError",
     "ColdStartError",
     "forward_states",
     "backward_costates",
@@ -51,14 +50,6 @@ class TrajectoryDivergedError(RuntimeError):
         super().__init__(f"{kind} recursion diverged at horizon step {step}")
         self.kind = kind
         self.step = step
-
-
-class JacobianAssemblyError(RuntimeError):
-    """Column-wise assembly failed; carries the failing column index."""
-
-    def __init__(self, column: int):
-        super().__init__(f"operator evaluation failed for column {column}")
-        self.column = column
 
 
 class ColdStartError(RuntimeError):
@@ -242,6 +233,14 @@ def _transpose_times(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+# Overflow and invalid-value warnings are off only in the evaluations whose
+# non-finite results the code checks explicitly: the recursions (a stage
+# check), the cold start's residual norms (an infinite norm is a failed
+# step) and its diagonal shift (checked before use).
+_checks_nonfinite = np.errstate(over="ignore", invalid="ignore")
+
+
+@_checks_nonfinite
 def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Explicit Euler states of every column, shape (N+1, n_x, *batch)."""
     d = spec.dims
@@ -263,6 +262,7 @@ def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.
     return xs
 
 
+@_checks_nonfinite
 def _backward(
     spec: OcpSpec, xs: np.ndarray, u: np.ndarray, mu: np.ndarray, nu: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
@@ -278,7 +278,7 @@ def _backward(
     if d.n_psi > 0:
         psi_x = _call(spec.psi_x, (d.n_psi,) + shape, tau_N, xs[d.N], p)
         lam_i = lam_i + _transpose_times(psi_x, nu)
-    lam[d.N] = lam_i
+    lam[d.N] = lam_i  # a non-finite terminal costate fails the first check
     for i in range(d.N - 1, -1, -1):
         if spec.H_x is not None:
             lam_i = lam_i + dtau * _call(
@@ -411,21 +411,12 @@ def assemble_jacobian(op: LinearMap) -> np.ndarray:
     """Dense matrix of the operator: one apply on the identity block.
 
     Column j equals ``apply(e_j)`` bitwise for operators that act column by
-    column, as :func:`difference_operator` does.  If the block apply raises,
-    the columns are re-run one at a time to name the failing one.
+    column, as :func:`difference_operator` does.  Whatever the apply raises
+    propagates; for a difference operator whose trajectory diverges that is
+    :class:`TrajectoryDivergedError`, naming the recursion and the horizon
+    step.
     """
-    m = op.dim
-    try:
-        return np.asarray(op.apply(np.eye(m)), dtype=float)
-    except Exception:
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            try:
-                op.apply(e)
-            except Exception as exc:
-                raise JacobianAssemblyError(j) from exc
-        raise
+    return np.asarray(op.apply(np.eye(op.dim)), dtype=float)
 
 
 @dataclass
@@ -530,13 +521,24 @@ class InitialSolveResult(NamedTuple):
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 21))
 
 
+@_checks_nonfinite
+def _norm(F: np.ndarray) -> float:
+    return float(np.linalg.norm(F))
+
+
+@_checks_nonfinite
+def _shifted(A: np.ndarray) -> np.ndarray:
+    """A plus 1e-10 times its norm on the diagonal."""
+    return A + 1e-10 * float(np.linalg.norm(A)) * np.eye(A.shape[0])
+
+
 def _scored(spec: OcpSpec, U: DecisionVector, x0: np.ndarray, t0: float):
     """(F(U), its norm); (None, inf) where the trajectory of U diverges."""
     try:
         F = optimality_residual(spec, U, x0, t0)
     except TrajectoryDivergedError:
         return None, float("inf")
-    return F, float(np.linalg.norm(F))
+    return F, _norm(F)
 
 
 def _stuck(cause: str, U: DecisionVector, norm: float) -> ColdStartError:
@@ -551,15 +553,15 @@ def _backtrack(
 
     One block residual scores all twenty trials.  If a trial's trajectory
     diverges the block raises, and the trials are scored one at a time in
-    order, a diverging one counting as infinite (as :func:`assemble_jacobian`
-    re-runs its columns).  Block columns equal single evaluations bitwise,
-    so either way the accepted trial is the one a sequential loop accepts.
+    order, a diverging one counting as infinite.  Block columns equal single
+    evaluations bitwise, so either way the accepted trial is the one a
+    sequential loop accepts.
     """
     block = U.data[:, None] + delta[:, None] * _HALVINGS
     rows = block.T.copy()  # one contiguous trial per row
     try:
         R = block_residual(spec, block, x0, t0).T.copy()
-        scores = ((F, float(np.linalg.norm(F))) for F in R)
+        scores = ((F, _norm(F)) for F in R)
     except TrajectoryDivergedError:
         scores = (_scored(spec, DecisionVector(U.dims, z), x0, t0) for z in rows)
     for z, (F, norm_try) in zip(rows, scores):
@@ -586,16 +588,18 @@ def initial_solve(
     the solve stops.  Stops at ``tol_init`` or after ``max_newton``
     iterations, returning the final iterate and its residual norm either way.
 
-    A guess whose trajectory diverges, a failed Jacobian assembly, a
-    Jacobian with non-finite entries and a Jacobian that stays singular (or
-    turns non-finite) after a small diagonal shift raise
-    :class:`ColdStartError` carrying the best iterate and its residual norm.
+    A guess whose trajectory diverges, a Jacobian assembly whose block
+    diverges, a Jacobian with non-finite entries and a Jacobian that stays
+    singular (or turns non-finite) after a small diagonal shift raise
+    :class:`ColdStartError` carrying the best iterate and its residual norm;
+    for a diverging assembly the message names the recursion and the
+    horizon step.  The assembly is one block residual, so a diverging one
+    costs one block.  Any other error in it is a bug and propagates.
     """
     U = U_guess.copy()
     F, norm = _scored(spec, U, x0, t0)
     if F is None:
         raise _stuck("non-finite trajectory of the guess", U, norm)
-    m = spec.dims.decision_size
     iterations = 0
     for _ in range(max_newton):
         if norm <= tol_init:
@@ -603,14 +607,14 @@ def initial_solve(
         op = difference_operator(spec, U, x0, t0, fd_step, base=F)
         try:
             A = assemble_jacobian(op)
-        except (JacobianAssemblyError, TrajectoryDivergedError) as exc:
+        except TrajectoryDivergedError as exc:
             raise _stuck(f"failed Jacobian assembly ({exc})", U, norm) from exc
         if not np.isfinite(A).all():
             raise _stuck("non-finite Jacobian", U, norm)
         try:
             delta = dense_solve(A, -F)
         except SingularMatrixError:
-            shifted = A + 1e-10 * float(np.linalg.norm(A)) * np.eye(m)
+            shifted = _shifted(A)
             if not np.isfinite(shifted).all():
                 raise _stuck("singular Jacobian with a non-finite shift", U, norm)
             try:

@@ -54,15 +54,19 @@ class LinearMap:
 
 @dataclass
 class KrylovResult:
-    """Outcome of one iterative solve."""
+    """Outcome of one iterative solve from the zero initial guess.
+
+    ``residual_norm`` is the preconditioned residual estimate at exit and
+    ``initial_residual_norm`` the preconditioned norm of the right-hand
+    side; their ratio is :attr:`relative_residual`.
+    """
 
     x: np.ndarray
-    residual_norm: float  # preconditioned residual estimate at exit
+    residual_norm: float
     iterations: int
     converged: bool
     breakdown: bool
     initial_residual_norm: float
-    residual_history: list[float]
 
     @property
     def relative_residual(self) -> float:
@@ -84,15 +88,14 @@ def _start(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    x0: Optional[np.ndarray],
     k_max: Optional[int],
     tol: float,
-) -> tuple[Preconditioner, np.ndarray, int, np.ndarray, np.ndarray]:
+) -> tuple[Preconditioner, int, np.ndarray, np.ndarray]:
     """Checked arguments of a solve and its starting residuals.
 
-    Returns the preconditioner (the identity for None), the initial guess
-    (zeros for None), the iteration cap (the dimension for None), the
-    initial residual r = b - op(x0) and its preconditioned form T(r).
+    Returns the preconditioner (the identity for None), the iteration cap
+    (the dimension for None), the initial residual r = b of the zero guess
+    and its preconditioned form T(r).
     """
     m = op.dim
     b = np.asarray(b, dtype=float)
@@ -105,28 +108,21 @@ def _start(
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     T = precond if precond is not None else _identity
-    if x0 is None:
-        x0 = np.zeros(m)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (m,):
-            raise ValueError(f"initial guess must have length {m}")
     # Both exactly linear maps and difference quotients vanish at 0, so the
-    # initial residual needs no operator evaluation for a zero guess.
-    r = b - np.asarray(op.apply(x0), dtype=float) if x0.any() else b.copy()
-    return T, x0, k_max, r, np.asarray(T(r), dtype=float)
+    # initial residual needs no operator evaluation.
+    r = b.copy()
+    return T, k_max, r, np.asarray(T(r), dtype=float)
 
 
-def _solved(x0: np.ndarray) -> KrylovResult:
-    """Result of a solve whose initial residual is zero: the guess itself."""
+def _solved(m: int) -> KrylovResult:
+    """Result of a solve whose right-hand side is zero: the zero guess."""
     return KrylovResult(
-        x=x0.copy(),
+        x=np.zeros(m),
         residual_norm=0.0,
         iterations=0,
         converged=True,
         breakdown=False,
         initial_residual_norm=0.0,
-        residual_history=[0.0],
     )
 
 
@@ -229,7 +225,6 @@ def gmres(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     k_max: Optional[int] = None,
     tol: float = 1e-10,
 ) -> KrylovResult:
@@ -245,11 +240,10 @@ def gmres(
     solution is exact in the current subspace and is returned with
     ``converged=True``.
     """
-    T, x0, k_max, _, z = _start(op, precond, b, x0, k_max, tol)
+    T, k_max, _, z = _start(op, precond, b, k_max, tol)
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
-        return _solved(x0)
-    history = [beta]
+        return _solved(op.dim)
 
     V = np.zeros((op.dim, k_max + 1))
     V[:, 0] = z / beta
@@ -264,7 +258,6 @@ def gmres(
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
         est = lsq.push(np.append(hk, hnorm))
-        history.append(est)
         k += 1
         if hnorm <= bd_tol:
             breakdown = True
@@ -274,7 +267,7 @@ def gmres(
             break
 
     y, _ = lsq.solve()
-    x = x0 + V[:, :k] @ y
+    x = V[:, :k] @ y
     converged = breakdown or est <= tol * beta
     return KrylovResult(
         x=x,
@@ -283,7 +276,6 @@ def gmres(
         converged=converged,
         breakdown=breakdown,
         initial_residual_norm=beta,
-        residual_history=history,
     )
 
 
@@ -291,7 +283,6 @@ def minres(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     k_max: Optional[int] = None,
     tol: float = 1e-10,
 ) -> KrylovResult:
@@ -305,13 +296,12 @@ def minres(
     preconditioner-weighted norm of ``b - op(x)``; convergence and the early
     stop use the same relative criterion as :func:`gmres`.
     """
-    T, x0, k_max, r1, y = _start(op, precond, b, x0, k_max, tol)
+    T, k_max, r1, y = _start(op, precond, b, k_max, tol)
     beta1 = _weighted_norm(r1, y)
     if beta1 == 0.0:
-        return _solved(x0)
-    history = [beta1]
+        return _solved(op.dim)
 
-    x = x0.copy()
+    x = np.zeros(op.dim)
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -352,7 +342,6 @@ def minres(
         w2 = w
         w = (v - oldeps * w1 - delta * w2) / gamma
         x = x + phi * w
-        history.append(phibar)
         if beta <= _EPS * beta1:
             breakdown = True
             break
@@ -367,7 +356,6 @@ def minres(
         converged=converged,
         breakdown=breakdown,
         initial_residual_norm=beta1,
-        residual_history=history,
     )
 
 

