@@ -8,6 +8,8 @@ unknown by one Krylov solve per system sampling period.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -32,8 +34,6 @@ __all__ = [
     "InitialSolveResult",
     "TrajectoryDivergedError",
     "ColdStartError",
-    "forward_states",
-    "backward_costates",
     "optimality_residual",
     "block_residual",
     "difference_operator",
@@ -119,6 +119,14 @@ class OcpSpec:
     ``np.eye(n_x)``).  Write the callbacks with elementwise numpy
     (``np.cos``, not ``math.cos``), so that one expression serves every
     shape.
+
+    A float64 ndarray of exactly the expected shape is used as it is
+    returned; any other value (a list, an int array, a shorter shape) is
+    converted and checked.  The stage times of the all-stage calls are a
+    shared read-only array.  Each recursion is checked for finiteness once,
+    after its last stage, and a :class:`TrajectoryDivergedError` still names
+    the first non-finite stage in recursion order; ``f`` and ``H_x`` therefore
+    also run on the stages after it, with non-finite arguments.
     """
 
     dims: OcpDims
@@ -211,13 +219,21 @@ def _blocks(d: OcpDims, Z: np.ndarray):
     return _stages(Z[:a], d.n_u, d.N), _stages(Z[a:b], d.n_c, d.N), Z[b:c], Z[c:]
 
 
+_FLOAT = np.dtype(float)
+
+
 def _call(callback: Callable[..., np.ndarray], shape: tuple, *args) -> np.ndarray:
     """Callback value as a float array that broadcasts to ``shape``.
 
-    A value that does not depend on the batch may leave out the trailing
-    axes; they come back as length-one axes.  Any other shape is an error.
+    A float64 ndarray of exactly ``shape`` is returned as it is.  Any other
+    value is converted; one that does not depend on the batch may leave out
+    the trailing axes, which come back as length-one axes.  Any other shape
+    is an error.
     """
-    out = np.asarray(callback(*args), dtype=float)
+    out = callback(*args)
+    if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
+        return out
+    out = np.asarray(out, dtype=float)
     if out.shape != shape:
         if out.shape != shape[: out.ndim]:
             raise ValueError(f"callback returned shape {out.shape}, expected {shape}")
@@ -234,15 +250,49 @@ def _transpose_times(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # Overflow and invalid-value warnings are off only in the evaluations whose
-# non-finite results the code checks explicitly: the recursions (a stage
-# check), the cold start's residual norms (an infinite norm is a failed
-# step) and its diagonal shift (checked before use).
+# non-finite results the code checks explicitly: the recursions (one check
+# per recursion), the residual norms (an infinite norm is a failed step) and
+# the cold start's diagonal shift (checked before use).
 _checks_nonfinite = np.errstate(over="ignore", invalid="ignore")
+
+
+def _bad_stages(stacked: np.ndarray):
+    """Indices along the leading (stage) axis of the stages holding a
+    non-finite entry, in increasing order; empty when all are finite."""
+    finite = np.isfinite(stacked)
+    if finite.all():
+        return ()
+    return np.flatnonzero(~finite.reshape(len(stacked), -1).all(axis=1))
+
+
+@_checks_nonfinite
+def _norm(F: np.ndarray) -> float:
+    """Euclidean norm of F.  When the plain norm overflows although every
+    entry is finite, F is scaled by its largest magnitude s first and the
+    norm is s * ||F / s||; every other norm is the plain one, bit for bit."""
+    norm = float(np.linalg.norm(F))
+    if norm == math.inf and np.isfinite(F).all():
+        s = float(np.abs(F).max())
+        norm = s * float(np.linalg.norm(F / s))
+    return norm
+
+
+@functools.lru_cache(maxsize=32)
+def _stage_times(N: int, horizon: float, rank: int) -> np.ndarray:
+    """Read-only stage times i * dtau, i = 0..N-1, shaped (N,) + (1,) * rank."""
+    taus = (horizon / N) * np.arange(N).reshape((N,) + (1,) * rank)
+    taus.flags.writeable = False
+    return taus
 
 
 @_checks_nonfinite
 def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Explicit Euler states of every column, shape (N+1, n_x, *batch)."""
+    """Explicit Euler states of every column, shape (N+1, n_x, *batch).
+
+    Raises :class:`TrajectoryDivergedError` for the first stage, in
+    recursion order, with a non-finite state; ``f`` runs on every stage
+    first, since one finiteness check covers the whole recursion.
+    """
     d = spec.dims
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d.n_x,):
@@ -255,10 +305,10 @@ def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.
     x = xs[0]
     for i in range(d.N):
         x = x + dtau * _call(spec.f, shape, i * dtau, x, u[:, i], p)
-        # count_nonzero is a cheaper all() on stage-sized arrays
-        if np.count_nonzero(np.isfinite(x)) != x.size:
-            raise TrajectoryDivergedError("state", i + 1)
         xs[i + 1] = x
+    bad = _bad_stages(xs[1:])
+    if len(bad):
+        raise TrajectoryDivergedError("state", int(bad[0]) + 1)
     return xs
 
 
@@ -266,7 +316,12 @@ def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.
 def _backward(
     spec: OcpSpec, xs: np.ndarray, u: np.ndarray, mu: np.ndarray, nu: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
-    """Costates of every column from the terminal condition, shape (N+1, n_x, *batch)."""
+    """Costates of every column from the terminal condition, shape (N+1, n_x, *batch).
+
+    Raises :class:`TrajectoryDivergedError` for the first stage, in
+    recursion order (the largest index), with a non-finite costate; a
+    non-finite terminal costate names stage N-1.
+    """
     d = spec.dims
     dtau = spec.dtau
     tau_N = spec.horizon
@@ -278,15 +333,16 @@ def _backward(
     if d.n_psi > 0:
         psi_x = _call(spec.psi_x, (d.n_psi,) + shape, tau_N, xs[d.N], p)
         lam_i = lam_i + _transpose_times(psi_x, nu)
-    lam[d.N] = lam_i  # a non-finite terminal costate fails the first check
+    lam[d.N] = lam_i
     for i in range(d.N - 1, -1, -1):
         if spec.H_x is not None:
             lam_i = lam_i + dtau * _call(
                 spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p
             )
-        if np.count_nonzero(np.isfinite(lam_i)) != lam_i.size:
-            raise TrajectoryDivergedError("costate", i)
         lam[i] = lam_i
+    bad = _bad_stages(lam[: d.N])
+    if len(bad):
+        raise TrajectoryDivergedError("costate", int(bad[-1]))
     return lam
 
 
@@ -315,7 +371,7 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
     u, mu, nu, p = _blocks(d, Z)
     xs = _forward(spec, x, u, p)
     lam = _backward(spec, xs, u, mu, nu, p)
-    taus = dtau * np.arange(N).reshape((N,) + (1,) * len(batch))
+    taus = _stage_times(N, spec.horizon, len(batch))
     states = xs[:N].swapaxes(0, 1)
     costates = lam[1:].swapaxes(0, 1)
     stage_p = p[:, None]
@@ -352,18 +408,6 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
             acc = np.add.accumulate(seq, axis=1)[:, N]
         out[pos:] = acc
     return out
-
-
-def forward_states(spec: OcpSpec, x0: np.ndarray, U: DecisionVector) -> np.ndarray:
-    """Explicit Euler forward recursion for the horizon states, shape (N+1, n_x)."""
-    u, _, _, p = _blocks(spec.dims, U.data)
-    return _forward(spec, x0, u, p)
-
-
-def backward_costates(spec: OcpSpec, states: np.ndarray, U: DecisionVector) -> np.ndarray:
-    """Backward costate recursion from the terminal stationarity condition."""
-    u, mu, nu, p = _blocks(spec.dims, U.data)
-    return _backward(spec, np.asarray(states, dtype=float), u, mu, nu, p)
 
 
 def optimality_residual(
@@ -474,7 +518,7 @@ def continuation_step(
     """
     if base is None:
         base = optimality_residual(spec, engine.U, x_meas, t)
-    norm_F = float(np.linalg.norm(base))
+    norm_F = _norm(base)
     op = difference_operator(spec, engine.U, x_meas, t, engine.fd_step, base=base)
     rhs = -base / engine.fd_step
     solve = gmres if engine.solver == "gmres" else minres
@@ -519,11 +563,6 @@ class InitialSolveResult(NamedTuple):
 # Step lengths the cold start backtracks to when the full Newton step does
 # not lower the residual norm: 1/2, 1/4, ..., 2**-20 (exact powers of two).
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 21))
-
-
-@_checks_nonfinite
-def _norm(F: np.ndarray) -> float:
-    return float(np.linalg.norm(F))
 
 
 @_checks_nonfinite

@@ -146,16 +146,23 @@ class _HessenbergLsq:
     def __init__(self, beta: float):
         self.cs: list[float] = []
         self.sn: list[float] = []
-        self.cols: list[np.ndarray] = []
+        self.cols: list[list[float]] = []
         self.g: list[float] = [float(beta)]
         self.residual = abs(float(beta))
 
-    def push(self, column: np.ndarray) -> float:
-        """Fold in Hessenberg column k (length k+2); return the residual estimate."""
+    def push(self, upper: np.ndarray, subdiagonal: float) -> float:
+        """Fold in Hessenberg column k, its k+1 entries down to the diagonal
+        and the one below it; return the residual estimate.
+
+        The rotations run on Python floats, which round exactly as numpy
+        scalars do and cost less per operation.
+        """
         k = len(self.cols)
-        col = np.array(column, dtype=float)
-        if col.shape != (k + 2,):
-            raise ValueError(f"expected column of length {k + 2}, got {col.shape}")
+        upper = np.asarray(upper, dtype=float)
+        if upper.shape != (k + 1,):
+            raise ValueError(f"expected {k + 1} entries above the subdiagonal, got {upper.shape}")
+        col = upper.tolist()
+        col.append(float(subdiagonal))
         for j in range(k):
             a, b = col[j], col[j + 1]
             col[j] = self.cs[j] * a + self.sn[j] * b
@@ -216,7 +223,7 @@ def hessenberg_lsq(H: np.ndarray, beta: float) -> HessenbergLsqResult:
         raise ValueError(f"expected shape ({k + 1}, {k}), got {H.shape}")
     lsq = _HessenbergLsq(beta)
     for j in range(k):
-        lsq.push(H[: j + 2, j])
+        lsq.push(H[: j + 1, j], H[j + 1, j])
     y, deficient = lsq.solve()
     return HessenbergLsqResult(y, lsq.residual, deficient)
 
@@ -253,11 +260,11 @@ def gmres(
     bd_tol = _EPS * beta
     k = 0
     while k < k_max:
-        w = np.asarray(T(np.asarray(op.apply(V[:, k]), dtype=float)), dtype=float)
+        w = np.asarray(T(op.apply(V[:, k])), dtype=float)
         hk = V[:, : k + 1].T @ w  # classical Gram-Schmidt, single pass
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
-        est = lsq.push(np.append(hk, hnorm))
+        est = lsq.push(hk, hnorm)
         k += 1
         if hnorm <= bd_tol:
             breakdown = True

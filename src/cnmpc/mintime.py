@@ -21,7 +21,6 @@ __all__ = [
     "MinTimeConstants",
     "problem_dims",
     "problem_spec",
-    "dynamics",
     "plant_rate",
     "constraint_residual",
     "terminal_residual",
@@ -64,12 +63,6 @@ def problem_dims(n_steps: int) -> OcpDims:
     """Horizon dimensions: planar state, (heading, slack) input, one band
     constraint, two terminal constraints, one parameter (time-to-go)."""
     return OcpDims(n_x=2, n_u=2, n_c=1, n_psi=2, n_p=1, N=n_steps)
-
-
-def dynamics(c: MinTimeConstants, x: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Horizon state rate in normalized time; the slack does not enter."""
-    speed = p[0] * (c.A * x[0] + c.B)
-    return speed * np.array([np.cos(u[0]), np.sin(u[0])])
 
 
 def plant_rate(c: MinTimeConstants, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -119,7 +112,9 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     )
 
     def f(tau, x, u, p):
-        return dynamics(c, x, u, p)
+        # horizon state rate in normalized time; the slack does not enter
+        speed = p[0] * (c.A * x[0] + c.B)
+        return np.array([speed * np.cos(u[0]), speed * np.sin(u[0])])
 
     def C(tau, x, u, p):
         return constraint_residual(c, u)
@@ -153,8 +148,9 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         )
 
     def H_x(tau, x, lam, u, mu, p):
-        out = np.zeros((2,) + np.shape(lam[0]))
-        out[0] = p[0] * c.A * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1])
+        row = p[0] * c.A * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1])
+        out = np.zeros((2,) + row.shape)
+        out[0] = row
         return out
 
     def H_p(tau, x, lam, u, mu, p):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from cnmpc import continuation, krylov
 from cnmpc.continuation import (
     ColdStartError,
     DecisionVector,
@@ -15,7 +16,87 @@ from cnmpc.continuation import (
     difference_operator,
     optimality_residual,
 )
-from cnmpc.krylov import SingularMatrixError, dense_solve
+from cnmpc.krylov import KrylovResult, SingularMatrixError, dense_solve
+
+
+def forward_states(spec, x0, U):
+    """States of one decision vector, shape (N+1, n_x): the kernel's
+    forward recursion on its own."""
+    u, _, _, p = continuation._blocks(spec.dims, U.data)
+    return continuation._forward(spec, x0, u, p)
+
+
+def backward_costates(spec, states, U):
+    """Costates of one decision vector along ``states``, shape (N+1, n_x):
+    the kernel's backward recursion on its own."""
+    u, mu, nu, p = continuation._blocks(spec.dims, U.data)
+    return continuation._backward(spec, np.asarray(states, dtype=float), u, mu, nu, p)
+
+
+def _stage_call(callback, shape, *args):
+    """The callback value converted and shape-checked on every call."""
+    out = np.asarray(callback(*args), dtype=float)
+    if out.shape != shape:
+        if out.shape != shape[: out.ndim]:
+            raise ValueError(f"callback returned shape {out.shape}, expected {shape}")
+        out = out.reshape(out.shape + (1,) * (len(shape) - out.ndim))
+    return out
+
+
+def per_stage_forward(spec, x0, u, p):
+    """Independent oracle: the explicit Euler states, shape (N+1, n_x, *batch),
+    with the callback value converted and the states checked after every
+    stage, raising at the first non-finite one."""
+    d = spec.dims
+    dtau = spec.dtau
+    shape = (d.n_x,) + p.shape[1:]
+    xs = np.empty((d.N + 1,) + shape)
+    xs[0] = np.asarray(x0, dtype=float).reshape((d.n_x,) + (1,) * (len(shape) - 1))
+    x = xs[0]
+    for i in range(d.N):
+        x = x + dtau * _stage_call(spec.f, shape, i * dtau, x, u[:, i], p)
+        if np.count_nonzero(np.isfinite(x)) != x.size:
+            raise TrajectoryDivergedError("state", i + 1)
+        xs[i + 1] = x
+    return xs
+
+
+def per_stage_backward(spec, xs, u, mu, nu, p):
+    """Independent oracle: the costates from the terminal condition, shape
+    (N+1, n_x, *batch), checked after every stage from N-1 down to 0."""
+    d = spec.dims
+    dtau = spec.dtau
+    shape = xs.shape[1:]
+    lam = np.empty(xs.shape)
+    lam_i = np.zeros(shape)
+    if spec.phi_x is not None:
+        lam_i = lam_i + _stage_call(spec.phi_x, shape, spec.horizon, xs[d.N], p)
+    if d.n_psi > 0:
+        psi_x = _stage_call(spec.psi_x, (d.n_psi,) + shape, spec.horizon, xs[d.N], p)
+        lam_i = lam_i + continuation._transpose_times(psi_x, nu)
+    lam[d.N] = lam_i
+    for i in range(d.N - 1, -1, -1):
+        if spec.H_x is not None:
+            lam_i = lam_i + dtau * _stage_call(
+                spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p
+            )
+        if np.count_nonzero(np.isfinite(lam_i)) != lam_i.size:
+            raise TrajectoryDivergedError("costate", i)
+        lam[i] = lam_i
+    return lam
+
+
+def recursion_failure(spec, Z, x0):
+    """``(kind, step)`` of the :class:`TrajectoryDivergedError` that the
+    per-stage oracle recursions raise for a decision vector (m,) or block
+    (m, K), or None when both stay finite."""
+    u, mu, nu, p = continuation._blocks(spec.dims, np.asarray(Z, dtype=float))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_stage_backward(spec, per_stage_forward(spec, x0, u, p), u, mu, nu, p)
+    except TrajectoryDivergedError as exc:
+        return exc.kind, exc.step
+    return None
 
 
 def quadratic_spec(n_steps=3, a=0.5, b=1.0, q=1.0, r=1.0, s=2.0):
@@ -260,3 +341,98 @@ def triangular_solve(perm, lower, upper, r):
     for i in range(m - 1, -1, -1):
         y[i] = (y[i] - upper[i, i + 1 :] @ y[i + 1 :]) / upper[i, i]
     return y
+
+
+class NumpyScalarHessenbergLsq:
+    """Independent oracle: incremental Givens least squares with the
+    rotations on numpy scalars, one whole Hessenberg column per push."""
+
+    def __init__(self, beta):
+        self.cs, self.sn, self.cols = [], [], []
+        self.g = [float(beta)]
+        self.residual = abs(float(beta))
+
+    def push(self, column):
+        k = len(self.cols)
+        col = np.array(column, dtype=float)
+        for j in range(k):
+            a, b = col[j], col[j + 1]
+            col[j] = self.cs[j] * a + self.sn[j] * b
+            col[j + 1] = -self.sn[j] * a + self.cs[j] * b
+        r = math.hypot(col[k], col[k + 1])
+        c, s = (1.0, 0.0) if r == 0.0 else (col[k] / r, col[k + 1] / r)
+        col[k] = r
+        col[k + 1] = 0.0
+        self.cs.append(c)
+        self.sn.append(s)
+        gk = self.g[k]
+        self.g[k] = c * gk
+        self.g.append(-s * gk)
+        self.cols.append(col[: k + 1])
+        self.residual = abs(self.g[-1])
+        return self.residual
+
+    def solve(self):
+        k = len(self.cols)
+        y = np.zeros(k)
+        if k == 0:
+            return y, False
+        R = np.zeros((k, k))
+        for j, col in enumerate(self.cols):
+            R[: len(col), j] = col
+        g = np.array(self.g[:k])
+        scale = float(np.abs(R).max())
+        if scale == 0.0 or np.abs(R.diagonal()).min() <= np.finfo(float).eps * k * scale:
+            y, *_ = np.linalg.lstsq(R, g, rcond=None)
+            return y, True
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - R[i, i + 1 :] @ y[i + 1 :]) / R[i, i]
+        return y, False
+
+
+def numpy_scalar_hessenberg_lsq(H, beta):
+    """Oracle for :func:`cnmpc.krylov.hessenberg_lsq`: (y, residual, rank_deficient)."""
+    H = np.asarray(H, dtype=float)
+    lsq = NumpyScalarHessenbergLsq(beta)
+    for j in range(H.shape[1]):
+        lsq.push(H[: j + 2, j])
+    y, deficient = lsq.solve()
+    return y, lsq.residual, deficient
+
+
+def numpy_scalar_gmres(op, precond, b, k_max=None, tol=1e-10):
+    """Independent oracle: the GMRES loop with its Hessenberg column built by
+    ``np.append``, every operator and preconditioner value converted with
+    ``np.asarray``, and the rotations of :class:`NumpyScalarHessenbergLsq`."""
+    T, k_max, _, z = krylov._start(op, precond, b, k_max, tol)
+    beta = float(np.linalg.norm(z))
+    if beta == 0.0:
+        return krylov._solved(op.dim)
+    V = np.zeros((op.dim, k_max + 1))
+    V[:, 0] = z / beta
+    lsq = NumpyScalarHessenbergLsq(beta)
+    breakdown = False
+    est = beta
+    k = 0
+    while k < k_max:
+        w = np.asarray(T(np.asarray(op.apply(V[:, k]), dtype=float)), dtype=float)
+        hk = V[:, : k + 1].T @ w
+        w = w - V[:, : k + 1] @ hk
+        hnorm = float(np.linalg.norm(w))
+        est = lsq.push(np.append(hk, hnorm))
+        k += 1
+        if hnorm <= np.finfo(float).eps * beta:
+            breakdown = True
+            break
+        V[:, k] = w / hnorm
+        if est <= tol * beta:
+            break
+    y, _ = lsq.solve()
+    return KrylovResult(
+        x=V[:, :k] @ y,
+        residual_norm=est,
+        iterations=k,
+        converged=breakdown or est <= tol * beta,
+        breakdown=breakdown,
+        initial_residual_norm=beta,
+    )

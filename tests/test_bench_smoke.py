@@ -1,6 +1,7 @@
-"""pytest-benchmark smoke tests of the hottest layers: the rebuild block and
-the LU at N = 10 (m = 33), and the cold start's block of halved Newton steps
-at N = 40 (m = 123).
+"""pytest-benchmark smoke tests of the hottest layers: the rebuild block, the
+LU and a case-1 loop step at N = 10 (m = 33), the cold start's block of
+halved Newton steps at N = 40 (m = 123), and one residual at N = 80
+(m = 243).
 
 They assert on the results only, never on the timings, so they pass on any
 machine. ``pytest tests/test_bench_smoke.py --benchmark-autosave`` adds a run
@@ -12,13 +13,17 @@ import numpy as np
 import pytest
 
 from cnmpc.continuation import (
+    ContinuationEngine,
     assemble_jacobian,
     block_residual,
+    continuation_step,
     difference_operator,
+    initial_solve,
     optimality_residual,
 )
 from cnmpc.krylov import dense_solve, lu_factor, lu_solve
 from cnmpc.mintime import initial_guess, problem_spec
+from cnmpc.simcli import PRESETS, SimConfig
 
 EPS = np.finfo(float).eps
 SMOKE = pytest.mark.benchmark(max_time=0.2, min_rounds=5)
@@ -65,3 +70,33 @@ def test_bench_lu_factor_and_solve(benchmark, consts, spec10):
     z = benchmark(factor_and_apply)
     bound = 100.0 * 33 * EPS * np.linalg.cond(A) * np.linalg.norm(r)
     assert np.linalg.norm(A @ z - r) <= bound
+
+
+@SMOKE
+def test_bench_case_one_step(benchmark, consts, spec10):
+    # the first step of the canonical case-1 loop: GMRES with k_max = 10 and
+    # no preconditioner on the difference operator at the cold-start solution
+    cfg = SimConfig(case_preset=1, **PRESETS[1])
+    U = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10)).U
+
+    def step():
+        engine = ContinuationEngine(U.copy(), fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol)
+        u0, diag = continuation_step(engine, spec10, consts.start, 0.0)
+        return engine.U, u0, diag
+
+    updated, u0, diag = benchmark(step)
+    assert 1 <= diag.iterations <= 10
+    assert not diag.degraded
+    assert np.array_equal(u0, updated.u(0))
+    again, _, _ = step()
+    assert np.array_equal(again.data, updated.data)
+
+
+@SMOKE
+def test_bench_single_residual_long_horizon(benchmark, consts):
+    spec = problem_spec(consts, 80)
+    U = initial_guess(consts, 80)
+    F = benchmark(optimality_residual, spec, U, consts.start)
+    assert F.shape == (243,)
+    assert np.isfinite(F).all()
+    assert np.array_equal(F, block_residual(spec, U.data[:, None], consts.start)[:, 0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,21 +16,22 @@ from cnmpc.continuation import (
     OcpSpec,
     TrajectoryDivergedError,
     assemble_jacobian,
-    backward_costates,
     block_residual,
     continuation_step,
     difference_operator,
-    forward_states,
     initial_solve,
     optimality_residual,
 )
 from cnmpc.krylov import LinearMap, lu_factor, lu_solve
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from helpers import (
+    backward_costates,
     central_residual_oracle,
+    forward_states,
     fragile_spec,
     quadratic_spec,
     random_decision,
+    recursion_failure,
     residual_rows,
     sequential_initial_solve,
     threshold_spec,
@@ -248,6 +250,160 @@ def test_callback_with_wrong_shape_is_rejected():
     spec.f = f_wrong
     with pytest.raises(ValueError):
         optimality_residual(spec, DecisionVector.zeros(spec.dims), np.array([1.0]))
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+@pytest.mark.parametrize("callback", ["f", "H_x"])
+def test_callback_with_wrong_shape_at_a_late_stage_is_rejected(callback, batch):
+    # the last stage in recursion order: N-1 for the states, 0 for the costates
+    spec = quadratic_spec(n_steps=5)
+    late = (spec.dims.N - 1) * spec.dtau if callback == "f" else 0.0
+    original = getattr(spec, callback)
+
+    def wrong_late(tau, *args):
+        out = original(tau, *args)
+        return np.concatenate([out, out]) if tau == late else out
+
+    setattr(spec, callback, wrong_late)
+    Z = np.full(5, 0.3) if batch is None else np.full((5, batch), 0.3)
+    with pytest.raises(ValueError, match="callback returned shape"):
+        block_residual(spec, Z, np.array([1.0]))
+
+
+def test_callback_returning_a_list_or_an_int_array_is_accepted():
+    # converted values give the residual of float64 arrays, bit for bit
+    reference = quadratic_spec()
+    reference.phi_x = lambda tau, x, p: np.ones(1)
+    converted = quadratic_spec()
+    f, H_x = converted.f, converted.H_x
+    converted.f = lambda tau, x, u, p: list(f(tau, x, u, p))
+    converted.H_x = lambda tau, x, lam, u, mu, p: H_x(tau, x, lam, u, mu, p).tolist()
+    converted.phi_x = lambda tau, x, p: np.ones(1, dtype=int)
+    rng = np.random.default_rng(8)
+    for Z in (rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (3, 4))):
+        want = block_residual(reference, Z, np.array([0.4]))
+        assert np.array_equal(block_residual(converted, Z, np.array([0.4])), want)
+
+
+def _inject(callback, stages, dtau, index, value):
+    """``callback`` with ``value`` written at ``index`` of its result on the
+    given stages (stage i runs at tau = i * dtau)."""
+
+    def broken(tau, *args):
+        out = np.array(callback(tau, *args), dtype=float)
+        if any(tau == i * dtau for i in stages):
+            out[index] = value
+        return out
+
+    return broken
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    callback=st.sampled_from(["f", "H_x"]),
+    N=st.integers(min_value=1, max_value=40),
+    K=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    value=st.sampled_from([math.inf, -math.inf, math.nan]),
+    stages=st.sets(st.integers(min_value=0, max_value=39), min_size=1, max_size=3),
+    column=st.integers(min_value=0, max_value=5),
+    component=st.integers(min_value=0, max_value=1),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@example(
+    callback="f", N=40, K=6, value=math.nan, stages={20, 39}, column=5, component=0, seed=0
+)
+@example(
+    callback="H_x", N=40, K=None, value=math.inf, stages={0, 20}, column=0, component=0, seed=0
+)
+def test_block_residual_names_the_first_non_finite_stage(
+    callback, N, K, value, stages, column, component, seed
+):
+    # one finiteness check per recursion names the stage a check after every
+    # stage names: the first state (smallest step) or the first costate in
+    # backward order (largest step), and raises nothing else, not even a
+    # warning, although the callbacks also run on the later stages
+    c = MinTimeConstants()
+    spec = problem_spec(c, N)
+    stages = {i % N for i in stages}
+    index = component if K is None else (component, column % K)
+    setattr(spec, callback, _inject(getattr(spec, callback), stages, spec.dtau, index, value))
+    cols = [random_decision(spec.dims, seed=seed + k) for k in range(K or 1)]
+    Z = cols[0].data if K is None else np.column_stack([U.data for U in cols])
+    x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2)
+    want = recursion_failure(spec, Z, x0)
+    assert want is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryDivergedError) as err:
+            block_residual(spec, Z, x0)
+    assert (err.value.kind, err.value.step) == want
+
+
+@pytest.mark.parametrize(
+    "make, Z",
+    [
+        # every column but the base one overflows at the first stage
+        (lambda: fragile_spec("state"), 0.3 + 1e-5 * np.column_stack([np.zeros(3), np.eye(3)])),
+        # the second column crosses the limit at stage 1 only
+        (lambda: threshold_spec("state", 1.0), np.array([[0.5, 0.5], [0.5, 2.0], [0.5, 0.5]])),
+    ],
+    ids=["fragile", "threshold"],
+)
+def test_broken_specs_name_the_oracles_stage_after_running_every_stage(make, Z):
+    spec = make()
+    calls = []
+    f = spec.f
+
+    def counted(tau, x, u, p):
+        calls.append(tau)
+        return f(tau, x, u, p)
+
+    spec.f = counted
+    want = recursion_failure(spec, Z, np.array([0.5]))
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryDivergedError) as err:
+            block_residual(spec, Z, np.array([0.5]))
+    assert (err.value.kind, err.value.step) == want
+    assert len(calls) == spec.dims.N  # the stages after the first bad one ran too
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False),
+        max_size=300,
+    )
+)
+@example([math.inf, 1.0])
+@example([math.nan, 1.0])
+@example([1e-300, -2e-310])
+def test_norm_is_numpys_on_ordinary_residuals(entries):
+    F = np.array(entries, dtype=float)
+    with np.errstate(invalid="ignore"):
+        want = float(np.linalg.norm(F))
+    got = continuation._norm(F)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
+    F = np.array([1e300, -1e300, 0.0])
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(F) == math.inf
+    eps = np.finfo(float).eps
+    assert math.isclose(continuation._norm(F), math.hypot(1e300, 1e300), rel_tol=4 * eps)
+    # a norm beyond the largest double is still infinite
+    assert continuation._norm(np.full(4, 1.5e308)) == math.inf
+
+
+def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
+    U = initial_guess(consts, 10)
+    engine = ContinuationEngine(U.copy())
+    with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
+        _, diag = continuation_step(engine, spec10, consts.start, 0.0)
+    assert diag.norm_F == 12.5
+    assert norm.call_count == 1
 
 
 # ---------------------------------------------------------------------------

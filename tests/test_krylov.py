@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnmpc.continuation import difference_operator, optimality_residual
 from cnmpc.krylov import (
     LinearMap,
     SingularMatrixError,
@@ -15,8 +16,15 @@ from cnmpc.krylov import (
     lu_solve,
     minres,
 )
+from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 
-from helpers import ZeroPivotError, doolittle_lu, triangular_solve
+from helpers import (
+    ZeroPivotError,
+    doolittle_lu,
+    numpy_scalar_gmres,
+    numpy_scalar_hessenberg_lsq,
+    triangular_solve,
+)
 
 EPS = np.finfo(float).eps
 
@@ -272,6 +280,71 @@ def test_hessenberg_lsq_matches_lstsq(k, seed):
     if not deficient:
         assert np.allclose(y, expect, atol=1e-8)
     assert math.isclose(residual, np.linalg.norm(H @ expect - rhs), rel_tol=1e-8, abs_tol=1e-10)
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=0, max_value=12),
+    zero_columns=st.sets(st.integers(min_value=0, max_value=11), max_size=3),
+    beta=st.floats(min_value=-10.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_hessenberg_lsq_equals_numpy_scalar_oracle_bitwise(k, zero_columns, beta, seed):
+    # zero columns make R singular, so the lstsq fallback is covered too
+    H = np.triu(np.random.default_rng(seed).standard_normal((k + 1, k)), -1)
+    H[:, [j for j in zero_columns if j < k]] = 0.0
+    got = hessenberg_lsq(H, beta)
+    y, residual, deficient = numpy_scalar_hessenberg_lsq(H, beta)
+    assert _bits(got.y) == _bits(y)
+    assert _bits(got.residual) == _bits(residual)
+    assert got.rank_deficient == deficient
+
+
+def _oracle_problem(kind, m, seed):
+    """A (map, right-hand side) pair: a dense matrix, a rank-one matrix
+    (GMRES breaks down) or the minimum-time difference operator at N = 10."""
+    rng = np.random.default_rng(seed)
+    if kind == "mintime":
+        c = MinTimeConstants()
+        U = initial_guess(c, 10)
+        U.data[:] += 0.01 * rng.standard_normal(U.data.size)
+        spec = problem_spec(c, 10)
+        op = difference_operator(spec, U, c.start, 0.0, 1e-5)
+        return op, -optimality_residual(spec, U, c.start) / 1e-5
+    A = rng.standard_normal((m, m))
+    if kind == "rank_one":
+        A = np.outer(rng.standard_normal(m), rng.standard_normal(m))
+    return matrix_map(A), rng.standard_normal(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["dense", "rank_one", "mintime"]),
+    m=st.integers(min_value=1, max_value=12),
+    k_fraction=st.floats(min_value=0.0, max_value=1.0),
+    tol=st.sampled_from([0.0, 1e-5]),
+    scaled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_gmres_equals_numpy_scalar_oracle_bitwise(kind, m, k_fraction, tol, scaled, seed):
+    op, b = _oracle_problem(kind, m, seed)
+    k_max = max(1, math.ceil(k_fraction * op.dim))
+    weights = np.linspace(1.0, 3.0, op.dim)
+    precond = (lambda r: r / weights) if scaled else None
+    got = gmres(op, precond, b, k_max=k_max, tol=tol)
+    want = numpy_scalar_gmres(op, precond, b, k_max=k_max, tol=tol)
+    assert _bits(got.x) == _bits(want.x)
+    assert _bits(got.residual_norm) == _bits(want.residual_norm)
+    assert _bits(got.initial_residual_norm) == _bits(want.initial_residual_norm)
+    assert (got.iterations, got.converged, got.breakdown) == (
+        want.iterations,
+        want.converged,
+        want.breakdown,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnmpc.continuation import backward_costates, forward_states, optimality_residual
+from cnmpc.continuation import optimality_residual
 from cnmpc.mintime import (
     MinTimeConstants,
     constraint_residual,
-    dynamics,
     initial_guess,
     plant_rate,
+    problem_spec,
     terminal_cost,
     terminal_residual,
 )
-from helpers import random_decision, residual_rows
+from helpers import backward_costates, forward_states, random_decision, residual_rows
+
+
+def dynamics(c, x, u, p):
+    """The horizon dynamics callback ``f`` of ``problem_spec``."""
+    return problem_spec(c, 1).f(0.0, x, u, p)
 
 
 def test_constants_validation():

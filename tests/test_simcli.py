@@ -1,3 +1,5 @@
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -397,10 +399,18 @@ def test_main_cold_start_breakdown_exit_code(tmp_path, capsys, setting):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("setting", ["A = 1e300", "wd = 1e300"])
-def test_cli_cold_start_breakdown_prints_only_the_error(tmp_path, setting):
+@pytest.mark.parametrize(
+    "setting, finite_norm",
+    [
+        ("A = 1e300", False),  # the guess diverges: no residual, infinite norm
+        ("wd = 1e300", True),  # a finite residual whose plain norm overflows
+    ],
+    ids=["A = 1e300", "wd = 1e300"],
+)
+def test_cli_cold_start_breakdown_prints_only_the_error(tmp_path, setting, finite_norm):
     # the overflows behind these breakdowns are checked explicitly, so no
-    # numpy RuntimeWarning may reach stderr ahead of the error line
+    # numpy RuntimeWarning may reach stderr ahead of the error line, and the
+    # line names the residual norm of the best iterate
     cfg_file = tmp_path / "extreme.cfg"
     cfg_file.write_text(f"case = 1\n{setting}\n")
     src = str(Path(cnmpc.__file__).resolve().parent.parent)
@@ -415,6 +425,8 @@ def test_cli_cold_start_breakdown_prints_only_the_error(tmp_path, setting):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: ")
+    norm = float(re.search(r"residual norm (\S+)\)", lines[0]).group(1))
+    assert math.isfinite(norm) == finite_norm
 
 
 def test_module_entry_point_usage_error_without_warning():
