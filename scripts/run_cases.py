@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from cnmpc.simcli import PRESETS, SimConfig, compare_runs, run_simulation, write_csv
+from cnmpc.simcli import PRESETS, SimConfig, compare_runs, run_simulation, run_totals, write_csv
 
 
 def main(argv=None) -> int:
@@ -35,9 +35,10 @@ def main(argv=None) -> int:
         write_csv(res, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         arrival = f"{res.arrival_time:.4f} s" if res.arrival_time is not None else "none"
+        iterations, rebuild_evals = run_totals(res.records, res.decision_size)
         print(
             f"case {case}: {len(res.records):3d} steps, arrival {arrival}, "
-            f"{res.total_map_evals:4d} solver evals, {res.total_rebuild_evals:4d} "
+            f"{iterations:4d} solver evals, {rebuild_evals:4d} "
             f"rebuild evals, {elapsed:.2f} s -> {path} sha256 {digest}"
         )
 

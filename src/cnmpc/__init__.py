@@ -1,64 +1,1 @@
 """Continuation NMPC with preconditioned matrix-free Krylov solvers."""
-
-from .continuation import (
-    ColdStartError,
-    ContinuationEngine,
-    DecisionVector,
-    InitialSolveResult,
-    OcpDims,
-    OcpSpec,
-    StepDiagnostics,
-    TrajectoryDivergedError,
-    assemble_jacobian,
-    block_residual,
-    continuation_step,
-    difference_operator,
-    initial_solve,
-    optimality_residual,
-)
-from .krylov import (
-    KrylovResult,
-    LinearMap,
-    SingularMatrixError,
-    dense_solve,
-    gmres,
-    hessenberg_lsq,
-    lu_factor,
-    lu_solve,
-    minres,
-)
-from .mintime import MinTimeConstants, initial_guess, problem_dims, problem_spec
-from .precond import PrecondConfig, PrecondState, should_rebuild
-
-__all__ = [
-    "ColdStartError",
-    "ContinuationEngine",
-    "DecisionVector",
-    "InitialSolveResult",
-    "KrylovResult",
-    "LinearMap",
-    "MinTimeConstants",
-    "OcpDims",
-    "OcpSpec",
-    "PrecondConfig",
-    "PrecondState",
-    "SingularMatrixError",
-    "StepDiagnostics",
-    "TrajectoryDivergedError",
-    "assemble_jacobian",
-    "block_residual",
-    "continuation_step",
-    "dense_solve",
-    "difference_operator",
-    "gmres",
-    "hessenberg_lsq",
-    "initial_guess",
-    "initial_solve",
-    "lu_factor",
-    "lu_solve",
-    "minres",
-    "optimality_residual",
-    "problem_dims",
-    "problem_spec",
-    "should_rebuild",
-]

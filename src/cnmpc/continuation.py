@@ -29,7 +29,6 @@ __all__ = [
     "OcpDims",
     "OcpSpec",
     "DecisionVector",
-    "ContinuationEngine",
     "StepDiagnostics",
     "InitialSolveResult",
     "TrajectoryDivergedError",
@@ -465,7 +464,12 @@ def assemble_jacobian(op: LinearMap) -> np.ndarray:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step solver diagnostics returned by :func:`continuation_step`."""
+    """Per-step solver diagnostics returned by :func:`continuation_step`.
+
+    ``degraded`` marks the zero-update fallback after a solver failure.
+    Both solvers report a breakdown as converged, so ``breakdown`` without
+    ``degraded`` is a solution exact in its Krylov subspace.
+    """
 
     norm_F: float
     krylov_residual: float
@@ -475,83 +479,63 @@ class StepDiagnostics:
     degraded: bool
 
 
-@dataclass
-class ContinuationEngine:
-    """Holds the tracked decision vector and per-step solver settings.
-
-    One engine advances one control loop; steps are strictly ordered and the
-    engine is not shared across threads.
-    """
-
-    U: DecisionVector
-    fd_step: float = 1e-5
-    k_max: int = 10
-    tol: float = 1e-5
-    solver: str = "gmres"
-
-    def __post_init__(self) -> None:
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
-        if self.solver not in ("gmres", "minres"):
-            raise ValueError(f"unknown solver {self.solver!r}")
-
-
 def continuation_step(
-    engine: ContinuationEngine,
     spec: OcpSpec,
-    x_meas: np.ndarray,
+    U: DecisionVector,
+    x: np.ndarray,
     t: float,
+    *,
+    fd_step: float,
+    k_max: int,
+    tol: float,
+    solver: str,
     precond: Optional[Preconditioner] = None,
     base: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, StepDiagnostics]:
-    """Advance the tracked solution by one sampling period.
+) -> tuple[DecisionVector, StepDiagnostics]:
+    """Advance the tracked solution U by one sampling period.
 
-    Solves a(W) = -F/h for the difference operator a at the current point
-    with initial guess W = 0, applies the update U += h*W, and returns the
-    first control block of the updated vector.  ``base`` is F at the current
-    point when the caller already has it.  Solver failures never raise: a
-    breakdown, a preconditioner MINRES rejects as indefinite or a Krylov
-    direction whose trajectory diverges yields the best available (possibly
-    zero) update and a degraded flag, keeping the control loop alive.  Any
-    other error, such as a preconditioner returning the wrong shape, is a
-    bug and propagates.
+    Solves a(W) = -F/h for the difference operator a at (U, x, t), with the
+    difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
+    ("gmres" or "minres") with at most ``k_max`` iterations to the relative
+    tolerance ``tol``, and returns the updated vector U + h*W with the step's
+    diagnostics.  ``base`` is F at (U, x, t) when the caller already has it.
+    An unknown solver raises ValueError before any evaluation.  Solver
+    failures never raise: a preconditioner MINRES rejects as indefinite or
+    a Krylov direction whose trajectory diverges yields the zero update,
+    flagged ``degraded``, keeping the control loop alive.  Any other error,
+    such as a preconditioner returning the wrong shape, is a bug and
+    propagates.
     """
+    if solver not in ("gmres", "minres"):
+        raise ValueError(f"unknown solver {solver!r}")
     if base is None:
-        base = optimality_residual(spec, engine.U, x_meas, t)
+        base = optimality_residual(spec, U, x, t)
     norm_F = _norm(base)
-    op = difference_operator(spec, engine.U, x_meas, t, engine.fd_step, base=base)
-    rhs = -base / engine.fd_step
-    solve = gmres if engine.solver == "gmres" else minres
+    op = difference_operator(spec, U, x, t, fd_step, base=base)
+    solve = gmres if solver == "gmres" else minres
     try:
-        result = solve(op, precond, rhs, k_max=engine.k_max, tol=engine.tol)
+        result = solve(op, precond, -base / fd_step, k_max=k_max, tol=tol)
     except (IndefinitePreconditionerError, TrajectoryDivergedError):
         # An indefinite preconditioner under MINRES or a trial direction
         # whose trajectory diverges: keep the previous solution rather than
         # halting the loop.
         result = None
-
     if result is None:
         delta = np.zeros(op.dim)
-        diag = StepDiagnostics(
-            norm_F=norm_F,
-            krylov_residual=float("inf"),
-            iterations=0,
-            converged=False,
-            breakdown=True,
-            degraded=True,
-        )
+        krylov_residual, iterations, converged, breakdown = math.inf, 0, False, True
     else:
-        delta = engine.fd_step * result.x
-        diag = StepDiagnostics(
-            norm_F=norm_F,
-            krylov_residual=result.relative_residual,
-            iterations=result.iterations,
-            converged=result.converged,
-            breakdown=result.breakdown,
-            degraded=result.breakdown and not result.converged,
-        )
-    engine.U = DecisionVector(engine.U.dims, engine.U.data + delta)
-    return engine.U.u(0).copy(), diag
+        delta = fd_step * result.x
+        krylov_residual = result.relative_residual
+        iterations, converged, breakdown = result.iterations, result.converged, result.breakdown
+    diag = StepDiagnostics(
+        norm_F=norm_F,
+        krylov_residual=krylov_residual,
+        iterations=iterations,
+        converged=converged,
+        breakdown=breakdown,
+        degraded=result is None,
+    )
+    return DecisionVector(U.dims, U.data + delta), diag
 
 
 class InitialSolveResult(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,8 +23,6 @@ __all__ = [
     "IndefinitePreconditionerError",
     "gmres",
     "minres",
-    "hessenberg_lsq",
-    "HessenbergLsqResult",
     "lu_factor",
     "lu_solve",
     "dense_solve",
@@ -201,31 +199,6 @@ class _HessenbergLsq:
         for i in range(k - 1, -1, -1):
             y[i] = (g[i] - R[i, i + 1 :] @ y[i + 1 :]) / R[i, i]
         return y, False
-
-
-class HessenbergLsqResult(NamedTuple):
-    y: np.ndarray
-    residual: float
-    rank_deficient: bool
-
-
-def hessenberg_lsq(H: np.ndarray, beta: float) -> HessenbergLsqResult:
-    """Solve ``min_y ||H y - beta*e1||_2`` for upper-Hessenberg H of shape (k+1, k).
-
-    Returns the minimizer, the attained minimum, and a flag set when H was
-    rank deficient (the minimum-norm solution is returned in that case).
-    """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2:
-        raise ValueError("H must be a 2-d array")
-    k = H.shape[1]
-    if k > 0 and H.shape[0] != k + 1:
-        raise ValueError(f"expected shape ({k + 1}, {k}), got {H.shape}")
-    lsq = _HessenbergLsq(beta)
-    for j in range(k):
-        lsq.push(H[: j + 1, j], H[j + 1, j])
-    y, deficient = lsq.solve()
-    return HessenbergLsqResult(y, lsq.residual, deficient)
 
 
 def gmres(

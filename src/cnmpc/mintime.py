@@ -22,9 +22,6 @@ __all__ = [
     "problem_dims",
     "problem_spec",
     "plant_rate",
-    "constraint_residual",
-    "terminal_residual",
-    "terminal_cost",
     "initial_guess",
 ]
 
@@ -54,10 +51,6 @@ class MinTimeConstants:
     def start(self) -> np.ndarray:
         return np.array([self.x0, self.y0])
 
-    @property
-    def target(self) -> np.ndarray:
-        return np.array([self.x_f, self.y_f])
-
 
 def problem_dims(n_steps: int) -> OcpDims:
     """Horizon dimensions: planar state, (heading, slack) input, one band
@@ -69,25 +62,6 @@ def plant_rate(c: MinTimeConstants, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Physical state rate in system time (no time-to-go scaling)."""
     speed = c.A * x[0] + c.B
     return np.array([speed * math.cos(u[0]), speed * math.sin(u[0])])
-
-
-def constraint_residual(c: MinTimeConstants, u: np.ndarray) -> np.ndarray:
-    """Circle form of the heading band; zero keeps u within the band.
-
-    The squares use the C library's pow, as ``**`` does on a float scalar;
-    ``**`` on an array multiplies instead, which rounds differently for
-    about one input in a thousand.
-    """
-    return np.array([np.float_power(u[0] - c.c_u, 2) + np.float_power(u[1], 2) - c.r_u**2])
-
-
-def terminal_residual(c: MinTimeConstants, x: np.ndarray) -> np.ndarray:
-    return np.array([x[0] - c.x_f, x[1] - c.y_f])
-
-
-def terminal_cost(p: np.ndarray) -> np.ndarray:
-    """Terminal cost is the time-to-go itself, for every batch column of p."""
-    return p[0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -117,10 +91,14 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         return np.array([speed * np.cos(u[0]), speed * np.sin(u[0])])
 
     def C(tau, x, u, p):
-        return constraint_residual(c, u)
+        # Circle form of the heading band; zero keeps u within the band.  The
+        # squares use the C library's pow, as ``**`` does on a float scalar;
+        # ``**`` on an array multiplies instead, which rounds differently for
+        # about one input in a thousand.
+        return np.array([np.float_power(u[0] - c.c_u, 2) + np.float_power(u[1], 2) - c.r_u**2])
 
     def psi(tau, x, p):
-        return terminal_residual(c, x)
+        return np.array([x[0] - c.x_f, x[1] - c.y_f])
 
     def psi_x(tau, x, p):
         return eye
@@ -129,7 +107,8 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         return zeros_psi_p
 
     def phi(tau, x, p):
-        return terminal_cost(p)
+        # the terminal cost is the time-to-go itself, for every batch column of p
+        return p[0]
 
     def phi_x(tau, x, p):
         return zeros_x

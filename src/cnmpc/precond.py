@@ -23,7 +23,6 @@ from .continuation import (
 from .krylov import SingularMatrixError, lu_factor, lu_solve
 
 __all__ = [
-    "PrecondConfig",
     "PrecondState",
     "StalePreconditionerWarning",
     "should_rebuild",
@@ -36,22 +35,6 @@ class StalePreconditionerWarning(RuntimeWarning):
     """A rebuild failed; previous factors stay in use."""
 
 
-@dataclass(frozen=True)
-class PrecondConfig:
-    """Rebuild schedule.
-
-    ``eps_t`` absorbs floating-point drift of the sampling grid against the
-    rebuild period; the simulator sets it to half the sampling period.
-    """
-
-    t_p: float = 0.2
-    eps_t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.t_p <= 0.0:
-            raise ValueError("rebuild period t_p must be positive")
-
-
 @dataclass
 class PrecondState:
     """Current inverse from :func:`~cnmpc.krylov.lu_factor` plus bookkeeping;
@@ -62,11 +45,15 @@ class PrecondState:
     stale: bool = False
 
 
-def should_rebuild(cfg: PrecondConfig, state: PrecondState, t: float) -> bool:
-    """True when the schedule calls for a fresh inverse at time t."""
+def should_rebuild(state: PrecondState, t: float, t_p: float, dt: float) -> bool:
+    """True when the rebuild period ``t_p`` calls for a fresh inverse at time t.
+
+    Half the sampling period ``dt`` absorbs the floating-point drift of the
+    sampling grid against the rebuild period.
+    """
     if state.built_at is None:
         return True
-    return t >= state.built_at + cfg.t_p - cfg.eps_t
+    return t >= state.built_at + t_p - dt / 2.0
 
 
 def rebuild(
@@ -75,7 +62,6 @@ def rebuild(
     x: np.ndarray,
     t: float,
     fd_step: float,
-    cfg: PrecondConfig,
     prev: Optional[PrecondState] = None,
     base: Optional[np.ndarray] = None,
 ) -> PrecondState:

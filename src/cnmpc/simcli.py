@@ -19,13 +19,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from . import precond
-from .continuation import (
-    ColdStartError,
-    ContinuationEngine,
-    continuation_step,
-    initial_solve,
-    optimality_residual,
-)
+from .continuation import ColdStartError, continuation_step, initial_solve, optimality_residual
 from .mintime import MinTimeConstants, initial_guess, plant_rate, problem_spec
 
 __all__ = [
@@ -35,6 +29,7 @@ __all__ = [
     "SimResult",
     "RunComparison",
     "run_simulation",
+    "run_totals",
     "write_csv",
     "compare_runs",
     "parse_cli",
@@ -130,9 +125,13 @@ class StepRecord:
 class SimResult:
     records: list[StepRecord]
     arrival_time: Optional[float]
-    total_map_evals: int
-    total_rebuild_evals: int
     decision_size: int
+
+
+def run_totals(records: list[StepRecord], decision_size: int) -> tuple[int, int]:
+    """Krylov iterations and preconditioner column evaluations over ``records``:
+    each rebuild assembles ``decision_size`` difference columns."""
+    return sum(r.iterations for r in records), decision_size * sum(r.rebuilt for r in records)
 
 
 def run_simulation(
@@ -152,7 +151,6 @@ def run_simulation(
     cfg.validate()
     consts = cfg.constants
     spec = problem_spec(consts, cfg.n_steps)
-    m = spec.dims.decision_size
 
     init = initial_solve(
         spec,
@@ -171,20 +169,11 @@ def run_simulation(
             init.residual_norm,
         )
 
-    engine = ContinuationEngine(
-        U=init.U,
-        fd_step=cfg.h,
-        k_max=cfg.k_max,
-        tol=cfg.tol,
-        solver=cfg.solver,
-    )
-    pcfg = precond.PrecondConfig(t_p=cfg.t_p, eps_t=cfg.dt / 2.0)
+    U = init.U
     pstate = precond.PrecondState()
 
     records: list[StepRecord] = []
     arrival: Optional[float] = None
-    total_map_evals = 0
-    total_rebuild_evals = 0
     x = consts.start
     i = 0
     while True:
@@ -195,19 +184,19 @@ def run_simulation(
             arrival = t
             break
         # one residual at (U, x, t) serves the rebuild and the step
-        base = optimality_residual(spec, engine.U, x, t)
+        base = optimality_residual(spec, U, x, t)
         rebuilt = False
         step_precond = None
         if cfg.precond_enabled:
-            if precond.should_rebuild(pcfg, pstate, t):
-                pstate = precond.rebuild(
-                    spec, engine.U, x, t, cfg.h, pcfg, prev=pstate, base=base
-                )
-                total_rebuild_evals += m
+            if precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt):
+                pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate, base=base)
                 rebuilt = True
             step_precond = functools.partial(precond.apply, pstate)
-        u_applied, diag = continuation_step(engine, spec, x, t, step_precond, base=base)
-        total_map_evals += diag.iterations
+        U, diag = continuation_step(
+            spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
+            solver=cfg.solver, precond=step_precond, base=base,
+        )
+        u_applied = U.u(0)
         records.append(
             StepRecord(
                 step=i,
@@ -216,7 +205,7 @@ def run_simulation(
                 y=float(x[1]),
                 u=float(u_applied[0]),
                 u_d=float(u_applied[1]),
-                p=float(engine.U.p()[0]),
+                p=float(U.p()[0]),
                 norm_F=diag.norm_F,
                 krylov_residual=diag.krylov_residual,
                 iterations=diag.iterations,
@@ -225,19 +214,13 @@ def run_simulation(
         )
         x_next = x + cfg.dt * plant_rate(consts, x, u_applied)
         x = measure(i, t + cfg.dt, x_next) if measure is not None else x_next
-        if float(engine.U.p()[0]) <= cfg.dt:
+        if float(U.p()[0]) <= cfg.dt:
             # Horizon shorter than one sampling period: the goal is reached
             # within the next step.
             arrival = t + cfg.dt
             break
         i += 1
-    return SimResult(
-        records=records,
-        arrival_time=arrival,
-        total_map_evals=total_map_evals,
-        total_rebuild_evals=total_rebuild_evals,
-        decision_size=m,
-    )
+    return SimResult(records=records, arrival_time=arrival, decision_size=spec.dims.decision_size)
 
 
 def _fmt(v: float) -> str:
@@ -316,9 +299,8 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     cand = candidate.records[:common]
 
     def totals(records: list[StepRecord], result: SimResult) -> tuple[float, float]:
-        iters = float(sum(r.iterations for r in records))
-        rebuild_evals = float(sum(result.decision_size for r in records if r.rebuilt))
-        return iters, iters + rebuild_evals
+        iters, rebuild_evals = run_totals(records, result.decision_size)
+        return float(iters), float(iters) + float(rebuild_evals)
 
     b_it, b_all = totals(base, baseline)
     c_it, c_all = totals(cand, candidate)
@@ -491,10 +473,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"arrival time: {result.arrival_time:.6g} s")
     else:
         print("no arrival (time cap reached)")
-    print(
-        f"solver iterations: {result.total_map_evals}, "
-        f"preconditioner evaluations: {result.total_rebuild_evals}"
-    )
+    iterations, rebuild_evals = run_totals(result.records, result.decision_size)
+    print(f"solver iterations: {iterations}, preconditioner evaluations: {rebuild_evals}")
     if cfg.out_path is not None:
         print(f"records written to {cfg.out_path}")
     return 0

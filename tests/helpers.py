@@ -390,8 +390,20 @@ class NumpyScalarHessenbergLsq:
         return y, False
 
 
+def hessenberg_lsq(H, beta):
+    """``min_y ||H y - beta*e1||`` for upper-Hessenberg H of shape (k+1, k),
+    solved by pushing H's columns through :class:`cnmpc.krylov._HessenbergLsq`
+    as GMRES does: (y, residual, rank_deficient)."""
+    H = np.asarray(H, dtype=float)
+    lsq = krylov._HessenbergLsq(beta)
+    for j in range(H.shape[1]):
+        lsq.push(H[: j + 1, j], H[j + 1, j])
+    y, deficient = lsq.solve()
+    return y, lsq.residual, deficient
+
+
 def numpy_scalar_hessenberg_lsq(H, beta):
-    """Oracle for :func:`cnmpc.krylov.hessenberg_lsq`: (y, residual, rank_deficient)."""
+    """Oracle for :func:`hessenberg_lsq`: (y, residual, rank_deficient)."""
     H = np.asarray(H, dtype=float)
     lsq = NumpyScalarHessenbergLsq(beta)
     for j in range(H.shape[1]):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cnmpc import continuation
 from cnmpc.continuation import (
     ColdStartError,
-    ContinuationEngine,
     DecisionVector,
     OcpDims,
     OcpSpec,
@@ -36,6 +35,9 @@ from helpers import (
     sequential_initial_solve,
     threshold_spec,
 )
+
+# SimConfig's default difference step, Krylov cap, tolerance and solver
+STEP = {"fd_step": 1e-5, "k_max": 10, "tol": 1e-5, "solver": "gmres"}
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +401,8 @@ def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
 
 def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
     U = initial_guess(consts, 10)
-    engine = ContinuationEngine(U.copy())
     with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
-        _, diag = continuation_step(engine, spec10, consts.start, 0.0)
+        _, diag = continuation_step(spec10, U, consts.start, 0.0, **STEP)
     assert diag.norm_F == 12.5
     assert norm.call_count == 1
 
@@ -537,11 +538,9 @@ def test_continuation_step_zero_residual_is_identity():
     spec = quadratic_spec()
     x0 = np.array([1.0])
     stationary = initial_solve(spec, x0, 0.0, DecisionVector.zeros(spec.dims), tol_init=1e-13).U
-    engine = ContinuationEngine(U=stationary.copy(), k_max=3, tol=1e-8)
-    before = engine.U.data.copy()
-    u, diag = continuation_step(engine, spec, x0, 0.0)
+    U_next, diag = continuation_step(spec, stationary, x0, 0.0, **{**STEP, "k_max": 3, "tol": 1e-8})
     assert diag.norm_F <= 1e-12
-    assert np.allclose(engine.U.data, before, atol=1e-9)
+    assert np.allclose(U_next.data, stationary.data, atol=1e-9)
     assert diag.iterations == 0 or diag.converged
 
 
@@ -551,9 +550,11 @@ def test_continuation_step_affine_newton_exact():
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
     A = assemble_jacobian(difference_operator(spec, U, x0, 0.0, 1e-6))
     factors = lu_factor(A)
-    engine = ContinuationEngine(U=U, fd_step=1e-6, k_max=3, tol=1e-12)
-    u, diag = continuation_step(engine, spec, x0, 0.0, precond=lambda r: lu_solve(factors, r))
-    F_after = optimality_residual(spec, engine.U, x0, 0.0)
+    U_next, diag = continuation_step(
+        spec, U, x0, 0.0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
+        precond=lambda r: lu_solve(factors, r),
+    )
+    F_after = optimality_residual(spec, U_next, x0, 0.0)
     assert np.linalg.norm(F_after) <= 1e-8
     assert diag.iterations <= 2
 
@@ -562,10 +563,18 @@ def test_continuation_step_survives_solver_rejection():
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
-    engine = ContinuationEngine(U=U.copy(), solver="minres", k_max=3, tol=1e-8)
-    u, diag = continuation_step(engine, spec, x0, 0.0, precond=lambda r: -r)
+    settings = {**STEP, "solver": "minres", "k_max": 3, "tol": 1e-8}
+    U_next, diag = continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: -r)
     assert diag.degraded
-    assert np.array_equal(engine.U.data, U.data)  # best available update is zero
+    assert np.array_equal(U_next.data, U.data)  # best available update is zero
+
+
+def test_continuation_step_rejects_unknown_solver_before_evaluating(consts, spec10):
+    U = initial_guess(consts, 10)
+    with mock.patch.object(continuation, "block_residual") as residual:
+        with pytest.raises(ValueError, match="unknown solver 'cg'"):
+            continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "solver": "cg"})
+    assert residual.call_count == 0
 
 
 @pytest.mark.parametrize("solver", ["gmres", "minres"])
@@ -573,21 +582,19 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
-    engine = ContinuationEngine(U=U.copy(), solver=solver, k_max=3, tol=1e-8)
+    before = U.data.copy()
+    settings = {**STEP, "solver": solver, "k_max": 3, "tol": 1e-8}
     with pytest.raises(ValueError):
-        continuation_step(engine, spec, x0, 0.0, precond=lambda r: r[:-1])
-    assert np.array_equal(engine.U.data, U.data)
+        continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: r[:-1])
+    assert np.array_equal(U.data, before)
 
 
 def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
     base = optimality_residual(spec10, U, consts.start, 0.0)
-    own = ContinuationEngine(U=U.copy())
-    given_base = ContinuationEngine(U=U.copy())
-    u_own, diag_own = continuation_step(own, spec10, consts.start, 0.0)
-    u_given, diag_given = continuation_step(given_base, spec10, consts.start, 0.0, base=base)
-    assert np.array_equal(own.U.data, given_base.U.data)
-    assert np.array_equal(u_own, u_given)
+    own, diag_own = continuation_step(spec10, U, consts.start, 0.0, **STEP)
+    given_base, diag_given = continuation_step(spec10, U, consts.start, 0.0, **STEP, base=base)
+    assert np.array_equal(own.data, given_base.data)
     assert diag_own == diag_given
 
 
@@ -595,21 +602,22 @@ def test_continuation_step_survives_diverging_krylov_direction():
     spec = fragile_spec("state")
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.full(3, 0.3))
-    engine = ContinuationEngine(U=U.copy(), k_max=3, tol=1e-8)
     with np.errstate(over="ignore"):
-        u, diag = continuation_step(engine, spec, x0, 0.0)
+        U_next, diag = continuation_step(spec, U, x0, 0.0, **{**STEP, "k_max": 3, "tol": 1e-8})
     assert math.isfinite(diag.norm_F) and diag.norm_F > 0.0
     assert diag.breakdown and diag.degraded and not diag.converged
-    assert np.array_equal(engine.U.data, U.data)  # best available update is zero
-    assert np.array_equal(u, U.u(0))
+    assert diag.iterations == 0 and diag.krylov_residual == math.inf
+    assert np.array_equal(U_next.data, U.data)  # best available update is zero
 
 
 def test_step_diagnostics_fields(consts, spec10):
-    engine = ContinuationEngine(U=initial_guess(consts, 10), k_max=5, tol=1e-5)
-    u, diag = continuation_step(engine, spec10, consts.start, 0.0)
-    assert u.shape == (2,)
+    U = initial_guess(consts, 10)
+    U_next, diag = continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "k_max": 5})
+    assert U_next.dims == U.dims
+    assert not np.array_equal(U_next.data, U.data)
     assert diag.iterations <= 5
     assert diag.norm_F > 0.0
+    assert not diag.degraded
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from cnmpc.krylov import (
     SingularMatrixError,
     dense_solve,
     gmres,
-    hessenberg_lsq,
     lu_factor,
     lu_solve,
     minres,
@@ -21,6 +20,7 @@ from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from helpers import (
     ZeroPivotError,
     doolittle_lu,
+    hessenberg_lsq,
     numpy_scalar_gmres,
     numpy_scalar_hessenberg_lsq,
     triangular_solve,
@@ -110,6 +110,35 @@ def test_zero_tol_runs_k_max_iterations(m, data, seed):
     for solve in (gmres, minres):
         res = solve(matrix_map(A), None, b, k_max=k_max, tol=0.0)
         assert res.iterations == k_max or res.breakdown
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    rank=st.integers(min_value=0, max_value=12),
+    kind=st.sampled_from(["symmetric", "rank_one"]),
+    tol=st.sampled_from([0.0, 1e-5]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_breakdown_implies_converged(m, rank, kind, tol, seed):
+    # A breakdown ends the solve with the exact solution in the Krylov
+    # subspace, so both solvers report it as converged; a continuation step
+    # is degraded only on its zero-update fallback, never on a breakdown.
+    # Rank-deficient maps make breakdowns common: most rank-one draws and
+    # about a fifth of the symmetric ones break down.
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    eigs = np.zeros(m)
+    r = min(rank, m)
+    eigs[:r] = rng.uniform(0.5, 3.0, r) * rng.choice([-1.0, 1.0], r)
+    A = (Q * eigs) @ Q.T
+    if kind == "rank_one":
+        A = np.outer(rng.standard_normal(m), rng.standard_normal(m))
+    b = rng.standard_normal(m)
+    solvers = (gmres, minres) if kind == "symmetric" else (gmres,)
+    for solve in solvers:
+        res = solve(matrix_map(A), None, b, k_max=m, tol=tol)
+        assert res.converged or not res.breakdown
 
 
 def test_gmres_respects_iteration_cap():
@@ -232,7 +261,7 @@ def test_minres_gmres_agree_on_symmetric_systems(m, seed):
 
 
 # ---------------------------------------------------------------------------
-# hessenberg_lsq
+# Hessenberg least squares, driven through krylov._HessenbergLsq
 
 
 def test_hessenberg_lsq_exactly_solvable():
@@ -297,11 +326,11 @@ def test_hessenberg_lsq_equals_numpy_scalar_oracle_bitwise(k, zero_columns, beta
     # zero columns make R singular, so the lstsq fallback is covered too
     H = np.triu(np.random.default_rng(seed).standard_normal((k + 1, k)), -1)
     H[:, [j for j in zero_columns if j < k]] = 0.0
-    got = hessenberg_lsq(H, beta)
+    got_y, got_residual, got_deficient = hessenberg_lsq(H, beta)
     y, residual, deficient = numpy_scalar_hessenberg_lsq(H, beta)
-    assert _bits(got.y) == _bits(y)
-    assert _bits(got.residual) == _bits(residual)
-    assert got.rank_deficient == deficient
+    assert _bits(got_y) == _bits(y)
+    assert _bits(got_residual) == _bits(residual)
+    assert got_deficient == deficient
 
 
 def _oracle_problem(kind, m, seed):

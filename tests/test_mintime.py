@@ -6,21 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnmpc.continuation import optimality_residual
-from cnmpc.mintime import (
-    MinTimeConstants,
-    constraint_residual,
-    initial_guess,
-    plant_rate,
-    problem_spec,
-    terminal_cost,
-    terminal_residual,
-)
+from cnmpc.mintime import MinTimeConstants, initial_guess, plant_rate, problem_spec
 from helpers import backward_costates, forward_states, random_decision, residual_rows
 
 
 def dynamics(c, x, u, p):
     """The horizon dynamics callback ``f`` of ``problem_spec``."""
     return problem_spec(c, 1).f(0.0, x, u, p)
+
+
+def constraint_residual(c, u):
+    """The band constraint callback ``C`` of ``problem_spec``."""
+    return problem_spec(c, 1).C(0.0, None, u, None)
+
+
+def terminal_residual(c, x):
+    """The terminal constraint callback ``psi`` of ``problem_spec``."""
+    return problem_spec(c, 1).psi(1.0, x, None)
+
+
+def terminal_cost(c, p):
+    """The terminal cost callback ``phi`` of ``problem_spec``."""
+    return problem_spec(c, 1).phi(1.0, None, p)
 
 
 def test_constants_validation():
@@ -69,7 +76,7 @@ def test_terminal_residual_examples(consts):
 
 
 def test_costs(consts):
-    assert terminal_cost(np.array([1.6])) == 1.6
+    assert terminal_cost(consts, np.array([1.6])) == 1.6
 
 
 @settings(deadline=None, max_examples=50)

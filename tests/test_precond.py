@@ -19,13 +19,8 @@ from cnmpc.continuation import (
 )
 from cnmpc.krylov import LinearMap, gmres, lu_factor
 from cnmpc.mintime import initial_guess
-from cnmpc.precond import PrecondConfig, PrecondState, StalePreconditionerWarning
+from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from helpers import fragile_spec
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PrecondConfig(t_p=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -33,19 +28,17 @@ def test_config_validation():
 
 
 def test_should_rebuild_when_no_factors():
-    cfg = PrecondConfig(t_p=0.2)
-    assert precond.should_rebuild(cfg, PrecondState(), 0.0)
+    assert precond.should_rebuild(PrecondState(), 0.0, 0.2, 0.02)
 
 
 def test_rebuild_schedule_on_sampling_grid():
     # dt = 0.02, t_p = 0.2: rebuilds exactly at steps 0, 10, 20, ...
     dt = 0.02
-    cfg = PrecondConfig(t_p=0.2, eps_t=dt / 2)
     state = PrecondState()
     fired = []
     for i in range(60):
         t = i * dt
-        if precond.should_rebuild(cfg, state, t):
+        if precond.should_rebuild(state, t, 0.2, dt):
             fired.append(i)
             state = PrecondState(inverse=None, built_at=t)
     assert fired == [0, 10, 20, 30, 40, 50]
@@ -60,12 +53,11 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
     # rebuild periods that are sampling-grid multiples, as in the presets
     dt = 0.02
     t_p = period_steps * dt
-    cfg = PrecondConfig(t_p=t_p, eps_t=dt / 2)
     state = PrecondState()
     count = 0
     i = 0
     while (t := i * dt) < t_end:
-        if precond.should_rebuild(cfg, state, t):
+        if precond.should_rebuild(state, t, t_p, dt):
             count += 1
             state = PrecondState(inverse=None, built_at=t)
         i += 1
@@ -78,8 +70,7 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
 
 def test_rebuild_mintime_factors(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    cfg = PrecondConfig(t_p=0.2)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, cfg)
+    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5)
     assert state.inverse.shape == (33, 33)
     assert state.built_at == 0.0
     assert not state.stale
@@ -87,18 +78,16 @@ def test_rebuild_mintime_factors(consts, spec10):
 
 def test_rebuild_deterministic_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    cfg = PrecondConfig(t_p=0.2)
-    a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
-    b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
+    a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
+    b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
     assert np.array_equal(a.inverse, b.inverse)
 
 
 def test_rebuild_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
-    cfg = PrecondConfig(t_p=0.2)
     base = optimality_residual(spec10, U, consts.start, 0.0)
-    own = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg)
-    given_base = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, cfg, base=base)
+    own = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
+    given_base = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, base=base)
     assert np.array_equal(own.inverse, given_base.inverse)
 
 
@@ -113,10 +102,9 @@ def test_rebuild_singular_keeps_previous_factors():
 
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([1.0]))
-    cfg = PrecondConfig(t_p=0.1)
     prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1)
     with pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, cfg, prev=prev)
+        state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, prev=prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -128,10 +116,9 @@ def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     # TrajectoryDivergedError; "residual": the Jacobian comes back with NaNs
     spec = fragile_spec(blow_up)
     U = DecisionVector(spec.dims, np.full(3, 0.3))
-    cfg = PrecondConfig(t_p=0.1)
     prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
     with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, cfg, prev=prev)
+        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, prev=prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -155,7 +142,7 @@ def test_rebuild_diverging_assembly_costs_one_block():
     with mock.patch.object(continuation, "block_residual", spy), pytest.warns(
         StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
     ):
-        state = precond.rebuild(spec, U, x, 0.0, 1e-5, PrecondConfig(t_p=0.1), prev=prev, base=base)
+        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev=prev, base=base)
     assert calls == [2]
     assert state.stale
     assert state.inverse is prev.inverse
@@ -201,8 +188,7 @@ def test_apply_is_linear(alpha, seed):
 
 def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    cfg = PrecondConfig(t_p=0.2)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, cfg)
+    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5)
     A = assemble_jacobian(difference_operator(spec10, res.U, consts.start, 0.0, 1e-5))
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)

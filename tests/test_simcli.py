@@ -10,6 +10,7 @@ import pytest
 import cnmpc
 from cnmpc import precond
 from cnmpc.continuation import ColdStartError
+from cnmpc.mintime import problem_dims
 from cnmpc.simcli import (
     CSV_HEADER,
     PRESETS,
@@ -83,6 +84,7 @@ def test_parse_cli_rejects_unknown_flag():
         ["--case", "1", "--tol", "-1"],
         ["--case", "1", "--solver", "cg"],
         ["--case", "1", "--precond", "maybe"],
+        ["--case", "2", "--tp", "0"],
     ],
 )
 def test_parse_cli_out_of_range_values(argv):
@@ -179,13 +181,13 @@ def test_config_file_unknown_key_or_malformed(tmp_path):
 
 def test_write_csv_empty_result(tmp_path):
     path = tmp_path / "empty.csv"
-    write_csv(SimResult([], None, 0, 0, 33), path)
+    write_csv(SimResult([], None, 33), path)
     assert path.read_text() == CSV_HEADER + "\n"
 
 
 def test_write_csv_single_record(tmp_path, preset_results):
     path = tmp_path / "one.csv"
-    one = SimResult(preset_results[1].records[:1], None, 0, 0, 33)
+    one = SimResult(preset_results[1].records[:1], None, 33)
     write_csv(one, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 2
@@ -211,7 +213,7 @@ def test_csv_round_trip_exact(tmp_path, preset_results):
 
 def test_write_csv_io_error(tmp_path):
     with pytest.raises(OSError, match="missing"):
-        write_csv(SimResult([], None, 0, 0, 33), tmp_path / "missing" / "x.csv")
+        write_csv(SimResult([], None, 33), tmp_path / "missing" / "x.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +295,6 @@ def test_run_without_precond_never_consults_schedule(monkeypatch):
     result = run_simulation(cfg)
     assert len(result.records) == 5
     assert not any(r.rebuilt for r in result.records)
-    assert result.total_rebuild_evals == 0
 
 
 def test_cold_start_failure_raises_with_residual():
@@ -316,7 +317,7 @@ def test_compare_identical_runs_all_ratios_one(preset_results):
 
 
 def test_compare_disjoint_grids_empty_with_warning(preset_results):
-    empty = SimResult([], None, 0, 0, 33)
+    empty = SimResult([], None, 33)
     report = compare_runs(preset_results[1], empty)
     assert report.steps_compared == 0
     assert report.metrics == {}
@@ -324,13 +325,7 @@ def test_compare_disjoint_grids_empty_with_warning(preset_results):
 
 
 def test_compare_mismatched_grids_common_prefix(preset_results):
-    truncated = SimResult(
-        preset_results[1].records[:20],
-        None,
-        0,
-        0,
-        preset_results[1].decision_size,
-    )
+    truncated = SimResult(preset_results[1].records[:20], None, preset_results[1].decision_size)
     report = compare_runs(preset_results[1], truncated)
     assert report.steps_compared == 20
     assert any("common prefix" in w for w in report.warnings)
@@ -371,6 +366,21 @@ def test_main_writes_csv_and_exits_zero(tmp_path, capsys):
     assert out.exists()
     captured = capsys.readouterr()
     assert "arrival" in captured.out
+
+
+def test_main_summary_totals_are_the_csv_sums(tmp_path, capsys):
+    # the printed totals are derived from the logged rows: the Krylov
+    # iterations, and one difference column per decision entry per rebuild
+    out = tmp_path / "case2.csv"
+    assert main(["--case", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    header = CSV_HEADER.split(",")
+    iterations = sum(int(row[header.index("iterations")]) for row in rows)
+    rebuilds = sum(int(row[header.index("rebuilt")]) for row in rows)
+    m = problem_dims(SimConfig().n_steps).decision_size
+    assert rebuilds > 0
+    summary = f"solver iterations: {iterations}, preconditioner evaluations: {m * rebuilds}"
+    assert summary in capsys.readouterr().out.splitlines()
 
 
 def test_main_cold_start_failure_exit_code(tmp_path, capsys):
