@@ -90,8 +90,9 @@ class OcpSpec:
     """Problem definition consumed by the engine.
 
     Callbacks are pure functions of their arguments, always called with
-    positional arguments.  ``f`` is the horizon dynamics (already rescaled
-    when the horizon is normalized), ``C`` the pointwise equality
+    positional arguments.  The horizon is normalized to [0, 1], with N
+    stages of length 1/N.  ``f`` is the horizon dynamics (already rescaled
+    to the normalized horizon), ``C`` the pointwise equality
     constraint, ``psi`` the terminal constraint, ``phi`` the terminal cost
     (part of the problem definition; the engine reads only its gradients),
     and ``H_*`` the partial derivatives of the Hamiltonian L + lam'f + mu'C.
@@ -140,11 +141,8 @@ class OcpSpec:
     phi: Optional[Callable[..., float]] = None
     phi_x: Optional[Callable[..., np.ndarray]] = None
     phi_p: Optional[Callable[..., np.ndarray]] = None
-    horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError("horizon length must be positive")
         if self.dims.n_c > 0 and self.C is None:
             raise ValueError("n_c > 0 requires a constraint callback")
         if self.dims.n_psi > 0 and (self.psi is None or self.psi_x is None):
@@ -152,7 +150,7 @@ class OcpSpec:
 
     @property
     def dtau(self) -> float:
-        return self.horizon / self.dims.N
+        return 1.0 / self.dims.N
 
 
 @dataclass
@@ -277,9 +275,9 @@ def _norm(F: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _stage_times(N: int, horizon: float, rank: int) -> np.ndarray:
+def _stage_times(N: int, rank: int) -> np.ndarray:
     """Read-only stage times i * dtau, i = 0..N-1, shaped (N,) + (1,) * rank."""
-    taus = (horizon / N) * np.arange(N).reshape((N,) + (1,) * rank)
+    taus = (1.0 / N) * np.arange(N).reshape((N,) + (1,) * rank)
     taus.flags.writeable = False
     return taus
 
@@ -323,7 +321,7 @@ def _backward(
     """
     d = spec.dims
     dtau = spec.dtau
-    tau_N = spec.horizon
+    tau_N = 1.0
     shape = xs.shape[1:]
     lam = np.empty(xs.shape)
     lam_i = np.zeros(shape)
@@ -370,7 +368,7 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
     u, mu, nu, p = _blocks(d, Z)
     xs = _forward(spec, x, u, p)
     lam = _backward(spec, xs, u, mu, nu, p)
-    taus = _stage_times(N, spec.horizon, len(batch))
+    taus = _stage_times(N, len(batch))
     states = xs[:N].swapaxes(0, 1)
     costates = lam[1:].swapaxes(0, 1)
     stage_p = p[:, None]
@@ -384,7 +382,7 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
             spec.C, (d.n_c, N) + batch, taus, states, u, stage_p
         )
         pos += N * d.n_c
-    tau_N = spec.horizon
+    tau_N = 1.0
     x_N = xs[N]
     if d.n_psi:
         out[pos : pos + d.n_psi] = _call(spec.psi, (d.n_psi,) + batch, tau_N, x_N, p)
@@ -544,9 +542,9 @@ class InitialSolveResult(NamedTuple):
     newton_iterations: int
 
 
-# Step lengths the cold start backtracks to when the full Newton step does
-# not lower the residual norm: 1/2, 1/4, ..., 2**-20 (exact powers of two).
-_HALVINGS = np.ldexp(1.0, -np.arange(1, 21))
+# Step lengths the cold start scores for each Newton step, in order: the
+# full step, then its halvings 1/2, 1/4, ..., 2**-20 (exact powers of two).
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(21))
 
 
 @_checks_nonfinite
@@ -571,16 +569,16 @@ def _stuck(cause: str, U: DecisionVector, norm: float) -> ColdStartError:
 def _backtrack(
     spec: OcpSpec, U: DecisionVector, delta: np.ndarray, x0: np.ndarray, t0: float, norm: float
 ):
-    """First of the steps U + delta * 2**-k, k = 1..20, whose residual norm is
+    """First of the steps U + delta * 2**-k, k = 0..20, whose residual norm is
     below ``norm``, as (U_try, F, norm_try); None when none is.
 
-    One block residual scores all twenty trials.  If a trial's trajectory
-    diverges the block raises, and the trials are scored one at a time in
-    order, a diverging one counting as infinite.  Block columns equal single
-    evaluations bitwise, so either way the accepted trial is the one a
-    sequential loop accepts.
+    One block residual scores all twenty-one trials, the full step first.
+    If a trial's trajectory diverges the block raises, and the trials are
+    scored one at a time in order, a diverging one counting as infinite.
+    Block columns equal single evaluations bitwise, so either way the
+    accepted trial is the one a sequential loop accepts.
     """
-    block = U.data[:, None] + delta[:, None] * _HALVINGS
+    block = U.data[:, None] + delta[:, None] * _STEP_LENGTHS
     rows = block.T.copy()  # one contiguous trial per row
     try:
         R = block_residual(spec, block, x0, t0).T.copy()
@@ -604,25 +602,28 @@ def initial_solve(
 ) -> InitialSolveResult:
     """Damped Newton solve of the stationarity system for the cold start.
 
-    Assembles the dense difference Jacobian each iteration and takes the
-    direct Newton step when it lowers the residual norm.  Otherwise it
-    backtracks: the first of the steps halved 1 to 20 times that lowers the
-    norm wins, all twenty scored in one block residual, and when none does
-    the solve stops.  Stops at ``tol_init`` or after ``max_newton``
-    iterations, returning the final iterate and its residual norm either way.
+    Assembles the dense difference Jacobian each iteration and scores the
+    direct Newton step and its halvings 1 to 20 times in one block residual:
+    the first of them, in that order, that lowers the residual norm wins,
+    and when none does the solve stops.  Stops at ``tol_init`` or after
+    ``max_newton`` iterations, returning the final iterate and its residual
+    norm either way.
 
     A guess whose trajectory diverges, a Jacobian assembly whose block
     diverges, a Jacobian with non-finite entries and a Jacobian that stays
     singular (or turns non-finite) after a small diagonal shift raise
-    :class:`ColdStartError` carrying the best iterate and its residual norm;
-    for a diverging assembly the message names the recursion and the
-    horizon step.  The assembly is one block residual, so a diverging one
-    costs one block.  Any other error in it is a bug and propagates.
+    :class:`ColdStartError` carrying the best iterate and its residual norm
+    (infinite for a diverging guess); for a diverging guess or assembly the
+    message names the recursion and the horizon step.  The assembly is one
+    block residual, so a diverging one costs one block.  Any other error in
+    it is a bug and propagates.
     """
     U = U_guess.copy()
-    F, norm = _scored(spec, U, x0, t0)
-    if F is None:
-        raise _stuck("non-finite trajectory of the guess", U, norm)
+    try:
+        F = optimality_residual(spec, U, x0, t0)
+    except TrajectoryDivergedError as exc:
+        raise _stuck(f"non-finite trajectory of the guess ({exc})", U, math.inf) from exc
+    norm = _norm(F)
     iterations = 0
     for _ in range(max_newton):
         if norm <= tol_init:
@@ -645,11 +646,6 @@ def initial_solve(
             except SingularMatrixError as exc:
                 raise _stuck("singular Jacobian", U, norm) from exc
         iterations += 1
-        U_try = DecisionVector(U.dims, U.data + delta)
-        F_try, norm_try = _scored(spec, U_try, x0, t0)
-        if norm_try < norm:
-            U, F, norm = U_try, F_try, norm_try
-            continue
         found = _backtrack(spec, U, delta, x0, t0, norm)
         if found is None:
             break

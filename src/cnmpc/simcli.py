@@ -12,7 +12,7 @@ import functools
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, ClassVar, Optional
 
@@ -48,8 +48,6 @@ PRESETS: dict[int, dict] = {
 
 EXIT_USAGE = 2
 EXIT_COLD_START = 3
-
-CSV_HEADER = "step,t,x,y,u,u_d,p,norm_F,krylov_residual,iterations,rebuilt"
 
 
 @dataclass
@@ -119,6 +117,17 @@ class StepRecord:
     krylov_residual: float
     iterations: int
     rebuilt: bool
+
+
+def _fmt(v: float) -> str:
+    return format(float(v), ".17g")
+
+
+# The CSV columns are StepRecord's fields in order; a float cell has 17
+# significant digits (enough to round-trip), an int is decimal, a bool 0/1.
+_CSV_CELL = {"float": _fmt, "int": str, "bool": lambda v: str(int(v))}
+_CSV_COLUMNS = tuple((f.name, _CSV_CELL[f.type]) for f in fields(StepRecord))
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 
 @dataclass
@@ -223,22 +232,14 @@ def run_simulation(
     return SimResult(records=records, arrival_time=arrival, decision_size=spec.dims.decision_size)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_csv(result: SimResult, path) -> None:
-    """Write one diagnostics row per step; 17 significant digits round-trip."""
+    """Write the ``CSV_HEADER`` line, then one diagnostics row per step."""
     path = Path(path)
     try:
         with path.open("w", encoding="ascii", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in result.records:
-                fh.write(
-                    f"{r.step},{_fmt(r.t)},{_fmt(r.x)},{_fmt(r.y)},{_fmt(r.u)},"
-                    f"{_fmt(r.u_d)},{_fmt(r.p)},{_fmt(r.norm_F)},"
-                    f"{_fmt(r.krylov_residual)},{r.iterations},{int(r.rebuilt)}\n"
-                )
+                fh.write(",".join(cell(getattr(r, name)) for name, cell in _CSV_COLUMNS) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
@@ -317,18 +318,8 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     return RunComparison(steps_compared=common, metrics=metrics, warnings=warnings_list)
 
 
-_CONFIG_CONSTANT_KEYS = {
-    "A": "A",
-    "B": "B",
-    "x0": "x0",
-    "y0": "y0",
-    "t0": "t0",
-    "xf": "x_f",
-    "yf": "y_f",
-    "cu": "c_u",
-    "ru": "r_u",
-    "wd": "w_d",
-}
+# Config-file key -> MinTimeConstants field: the field name without underscores.
+_CONFIG_CONSTANT_KEYS = {f.name.replace("_", ""): f.name for f in fields(MinTimeConstants)}
 
 
 def _parse_bool(token: str) -> bool:

@@ -70,9 +70,9 @@ def per_stage_backward(spec, xs, u, mu, nu, p):
     lam = np.empty(xs.shape)
     lam_i = np.zeros(shape)
     if spec.phi_x is not None:
-        lam_i = lam_i + _stage_call(spec.phi_x, shape, spec.horizon, xs[d.N], p)
+        lam_i = lam_i + _stage_call(spec.phi_x, shape, 1.0, xs[d.N], p)
     if d.n_psi > 0:
-        psi_x = _stage_call(spec.psi_x, (d.n_psi,) + shape, spec.horizon, xs[d.N], p)
+        psi_x = _stage_call(spec.psi_x, (d.n_psi,) + shape, 1.0, xs[d.N], p)
         lam_i = lam_i + continuation._transpose_times(psi_x, nu)
     lam[d.N] = lam_i
     for i in range(d.N - 1, -1, -1):

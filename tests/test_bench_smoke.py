@@ -1,6 +1,6 @@
 """pytest-benchmark smoke tests of the hottest layers: the rebuild block, the
 LU and a case-1 loop step at N = 10 (m = 33), the cold start's block of
-halved Newton steps at N = 40 (m = 123), and one residual at N = 80
+Newton step lengths at N = 40 (m = 123), and one residual at N = 80
 (m = 243).
 
 They assert on the results only, never on the timings, so they pass on any
@@ -42,17 +42,17 @@ def test_bench_block_residual_rebuild_block(benchmark, consts, spec10):
 
 @SMOKE
 def test_bench_block_residual_halving_block(benchmark, consts):
-    # the block a cold start scores when its full Newton step is rejected:
-    # the first Newton step at N = 40 halved 1 to 20 times
+    # the block a cold start scores for each Newton step: the first Newton
+    # step at N = 40 and its halvings 1 to 20 times
     spec = problem_spec(consts, 40)
     U = initial_guess(consts, 40)
     op = difference_operator(spec, U, consts.start, 0.0, 1e-5)
     delta = dense_solve(assemble_jacobian(op), -optimality_residual(spec, U, consts.start))
-    Z = U.data[:, None] + delta[:, None] * 0.5 ** np.arange(1, 21)
+    Z = U.data[:, None] + delta[:, None] * 0.5 ** np.arange(21)
     R = benchmark(block_residual, spec, Z, consts.start)
-    assert R.shape == (123, 20)
+    assert R.shape == (123, 21)
     assert np.isfinite(R).all()
-    for k in (0, 19):
+    for k in (0, 20):
         U.data[:] = Z[:, k]
         assert np.array_equal(R[:, k], optimality_residual(spec, U, consts.start))
 

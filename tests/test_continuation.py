@@ -217,10 +217,10 @@ def test_residual_deterministic_bitwise(consts, spec10):
 @settings(deadline=None, max_examples=25)
 @given(
     st.integers(min_value=1, max_value=40),
-    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=21),
     st.integers(min_value=0, max_value=2**20),
 )
-@example(N=40, K=20, seed=0)  # the cold start's block of halved Newton steps
+@example(N=40, K=21, seed=0)  # the cold start's block of Newton step lengths
 def test_block_residual_columns_match_single_evaluations(N, K, seed):
     c = MinTimeConstants()
     spec = problem_spec(c, N)
@@ -718,19 +718,24 @@ def test_initial_solve_equals_sequential_backtracking_oracle(N, c_u, offset, dis
 
 
 def test_stalled_cold_start_scores_halvings_in_blocks(consts):
+    # Each Newton iteration is one assembly block (m, m) and one block
+    # (m, 21) holding the full step and its twenty halvings; nothing
+    # diverges, so the guess is the only single-vector residual.
     spec = problem_spec(consts, 20)
-    blocks = []
+    m = spec.dims.decision_size
+    shapes = []
     original = continuation.block_residual
 
     def spy(spec_, Z, x, t=0.0):
-        if np.ndim(Z) == 2:
-            blocks.append(Z.shape)
+        shapes.append(np.shape(Z))
         return original(spec_, Z, x, t)
 
     with mock.patch.object(continuation, "block_residual", spy):
         res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, 20))
     assert res.residual_norm > 1e-6  # the documented N = 20 stall
-    assert (spec.dims.decision_size, 20) in blocks
+    assert shapes.count((m,)) == 1
+    assert shapes.count((m, m)) == shapes.count((m, 21)) == res.newton_iterations
+    assert len(shapes) == 1 + 2 * res.newton_iterations
 
 
 @settings(deadline=None, max_examples=20)
@@ -793,7 +798,10 @@ def test_initial_solve_stops_at_the_rounding_floor(N):
 def test_initial_solve_diverging_guess_raises_cold_start_error():
     spec = threshold_spec("state", 1.0)
     guess = DecisionVector(spec.dims, np.full(3, 2.0))
-    with pytest.raises(ColdStartError) as err:
+    with pytest.raises(
+        ColdStartError,
+        match=r"non-finite trajectory of the guess \(state recursion diverged at horizon step 1\)",
+    ) as err:
         initial_solve(spec, np.array([1.0]), 0.0, guess)
     assert np.array_equal(err.value.best.data, guess.data)
     assert err.value.residual_norm == math.inf

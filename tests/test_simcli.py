@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import subprocess
@@ -10,12 +11,13 @@ import pytest
 import cnmpc
 from cnmpc import precond
 from cnmpc.continuation import ColdStartError
-from cnmpc.mintime import problem_dims
+from cnmpc.mintime import MinTimeConstants, problem_dims
 from cnmpc.simcli import (
     CSV_HEADER,
     PRESETS,
     SimConfig,
     SimResult,
+    StepRecord,
     compare_runs,
     load_config_file,
     main,
@@ -163,6 +165,27 @@ def test_config_file_constants_override(tmp_path):
     assert cfg.constants.x_f == 2.0
 
 
+# the documented constant keys, one per MinTimeConstants field
+CONSTANT_KEYS = {
+    "A": "A", "B": "B", "cu": "c_u", "ru": "r_u", "wd": "w_d",
+    "x0": "x0", "y0": "y0", "t0": "t0", "xf": "x_f", "yf": "y_f",
+}
+
+
+def test_config_constant_keys_cover_every_field():
+    assert sorted(CONSTANT_KEYS.values()) == sorted(
+        f.name for f in dataclasses.fields(MinTimeConstants)
+    )
+
+
+@pytest.mark.parametrize("key", CONSTANT_KEYS)
+def test_config_file_key_sets_its_constant(tmp_path, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"case = 1\n{key} = 0.123\n")  # 0.123 passes every check
+    cfg = parse_cli(["--config", str(path)])
+    assert cfg.constants == dataclasses.replace(MinTimeConstants(), **{CONSTANT_KEYS[key]: 0.123})
+
+
 def test_config_file_unknown_key_or_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("case = 1\nwhatever = 12\n")
@@ -177,6 +200,10 @@ def test_config_file_unknown_key_or_malformed(tmp_path):
 
 # ---------------------------------------------------------------------------
 # CSV round trip
+
+
+def test_csv_header_is_the_step_record_fields():
+    assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(StepRecord)]
 
 
 def test_write_csv_empty_result(tmp_path):
