@@ -448,16 +448,29 @@ def difference_operator(
     return LinearMap(dims.decision_size, apply)
 
 
-def assemble_jacobian(op: LinearMap) -> np.ndarray:
-    """Dense matrix of the operator: one apply on the identity block.
+def assemble_jacobian(
+    spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float, step: float
+) -> np.ndarray:
+    """F(U) and the forward-difference Jacobian at U from one block residual.
 
-    Column j equals ``apply(e_j)`` bitwise for operators that act column by
-    column, as :func:`difference_operator` does.  Whatever the apply raises
-    propagates; for a difference operator whose trajectory diverges that is
-    :class:`TrajectoryDivergedError`, naming the recursion and the horizon
-    step.
+    Scores the block ``[U | U + step*I]`` with one :func:`block_residual`
+    and returns the (m, m + 1) array whose column 0 is F(U) and whose column
+    j + 1 is (F(U + step*e_j) - F(U)) / step.  Column 0 equals
+    :func:`optimality_residual` at U and column j + 1 equals the apply of
+    e_j by :func:`difference_operator`, both bitwise.  A trajectory that
+    diverges in any column raises :class:`TrajectoryDivergedError`, naming
+    the recursion and the horizon step; the block does not tell whether U
+    itself or a difference column diverged.
     """
-    return np.asarray(op.apply(np.eye(op.dim)), dtype=float)
+    if step <= 0.0:
+        raise ValueError("difference step must be positive")
+    m = U.dims.decision_size
+    Z = np.empty((m, m + 1))
+    Z[:, 0] = U.data
+    Z[:, 1:] = U.data[:, None] + step * np.eye(m)
+    R = block_residual(spec, Z, x, t)
+    R[:, 1:] = (R[:, 1:] - R[:, :1]) / step
+    return R
 
 
 @dataclass
@@ -602,12 +615,13 @@ def initial_solve(
 ) -> InitialSolveResult:
     """Damped Newton solve of the stationarity system for the cold start.
 
-    Assembles the dense difference Jacobian each iteration and scores the
-    direct Newton step and its halvings 1 to 20 times in one block residual:
-    the first of them, in that order, that lowers the residual norm wins,
-    and when none does the solve stops.  Stops at ``tol_init`` or after
-    ``max_newton`` iterations, returning the final iterate and its residual
-    norm either way.
+    Assembles the dense difference Jacobian each iteration with
+    :func:`assemble_jacobian` (its residual column repeats the residual the
+    previous iteration scored) and scores the direct Newton step and its
+    halvings 1 to 20 times in one block residual: the first of them, in that
+    order, that lowers the residual norm wins, and when none does the solve
+    stops.  Stops at ``tol_init`` or after ``max_newton`` iterations,
+    returning the final iterate and its residual norm either way.
 
     A guess whose trajectory diverges, a Jacobian assembly whose block
     diverges, a Jacobian with non-finite entries and a Jacobian that stays
@@ -628,9 +642,8 @@ def initial_solve(
     for _ in range(max_newton):
         if norm <= tol_init:
             break
-        op = difference_operator(spec, U, x0, t0, fd_step, base=F)
         try:
-            A = assemble_jacobian(op)
+            A = assemble_jacobian(spec, U, x0, t0, fd_step)[:, 1:]
         except TrajectoryDivergedError as exc:
             raise _stuck(f"failed Jacobian assembly ({exc})", U, norm) from exc
         if not np.isfinite(A).all():

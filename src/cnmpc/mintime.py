@@ -81,9 +81,7 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     """
     dims = problem_dims(n_steps)
     # Batch-independent partials, built once; the engine only reads them.
-    eye, zeros_psi_p, zeros_x, ones_p = (
-        _frozen(a) for a in (np.eye(2), np.zeros((2, 1)), np.zeros(2), np.ones(1))
-    )
+    eye, ones_p = _frozen(np.eye(2)), _frozen(np.ones(1))
 
     def f(tau, x, u, p):
         # horizon state rate in normalized time; the slack does not enter
@@ -103,15 +101,11 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     def psi_x(tau, x, p):
         return eye
 
-    def psi_p(tau, x, p):
-        return zeros_psi_p
-
     def phi(tau, x, p):
-        # the terminal cost is the time-to-go itself, for every batch column of p
+        # the terminal cost is the time-to-go itself, for every batch column of
+        # p; it has no state gradient and psi no p gradient, so phi_x and psi_p
+        # are left out, which the engine reads as zero contributions
         return p[0]
-
-    def phi_x(tau, x, p):
-        return zeros_x
 
     def phi_p(tau, x, p):
         return ones_p
@@ -144,9 +138,7 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         C=C,
         psi=psi,
         psi_x=psi_x,
-        psi_p=psi_p,
         phi=phi,
-        phi_x=phi_x,
         phi_p=phi_p,
         H_u=H_u,
         H_x=H_x,

@@ -1,8 +1,9 @@
 """Scheduled LU preconditioning for the per-step Krylov solves.
 
-The dense difference Jacobian is assembled in one block apply at configured
-time instances and inverted once by LAPACK's pivoted LU; every sampling
-point until the next rebuild applies that inverse with one matvec.
+The dense difference Jacobian is assembled, together with the step's
+residual, in one block residual at configured time instances and inverted
+once by LAPACK's pivoted LU; every sampling point until the next rebuild
+applies that inverse with one matvec.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .continuation import (
     OcpSpec,
     TrajectoryDivergedError,
     assemble_jacobian,
-    difference_operator,
+    optimality_residual,
 )
 from .krylov import SingularMatrixError, lu_factor, lu_solve
 
@@ -38,11 +39,17 @@ class StalePreconditionerWarning(RuntimeWarning):
 @dataclass
 class PrecondState:
     """Current inverse from :func:`~cnmpc.krylov.lu_factor` plus bookkeeping;
-    replaced wholesale at rebuilds."""
+    replaced wholesale at rebuilds.
+
+    ``residual`` is F at the point of the rebuild that returned this state,
+    stale or not (None before the first rebuild); the rebuild step uses it as
+    its base residual.
+    """
 
     inverse: Optional[np.ndarray] = None
     built_at: Optional[float] = None
     stale: bool = False
+    residual: Optional[np.ndarray] = None
 
 
 def should_rebuild(state: PrecondState, t: float, t_p: float, dt: float) -> bool:
@@ -63,42 +70,47 @@ def rebuild(
     t: float,
     fd_step: float,
     prev: Optional[PrecondState] = None,
-    base: Optional[np.ndarray] = None,
 ) -> PrecondState:
     """Assemble and invert the difference Jacobian at the current point.
 
-    ``base`` is the residual at the current point when the caller already
-    has it; the difference operator evaluates it otherwise.
+    One :func:`~cnmpc.continuation.assemble_jacobian` block yields both the
+    residual at the current point, returned as ``residual``, and the
+    Jacobian.
 
     An assembly whose block diverges, a Jacobian with non-finite entries or
     a singular factorization keeps the previous factors (a stale
     preconditioner beats a sudden conditioning cliff), emits a warning, and
-    marks the state stale; the control loop is never halted from here.  The
-    assembly is one block residual, so a diverging one costs one block, and
-    its warning names the recursion and the horizon step.  Any other error
-    in the assembly is a bug and propagates.
+    marks the state stale; the control loop is never halted from here.
+    When the block diverges, the residual at the current point is evaluated
+    alone first: a current point whose own trajectory diverges raises
+    :class:`~cnmpc.continuation.TrajectoryDivergedError` with no warning,
+    as the step's residual would; otherwise the warning names the recursion
+    and the horizon step of the block.  Any other error in the assembly is
+    a bug and propagates.
     """
     prev = prev if prev is not None else PrecondState()
     try:
-        A = assemble_jacobian(difference_operator(spec, U, x, t, fd_step, base=base))
+        R = assemble_jacobian(spec, U, x, t, fd_step)
     except TrajectoryDivergedError as exc:
-        return _stale(prev, t, f"a failed Jacobian assembly ({exc})")
+        residual = optimality_residual(spec, U, x, t)
+        return _stale(prev, t, residual, f"a failed Jacobian assembly ({exc})")
+    residual, A = R[:, 0].copy(), R[:, 1:]
     if not np.isfinite(A).all():
-        return _stale(prev, t, "a Jacobian with non-finite entries")
+        return _stale(prev, t, residual, "a Jacobian with non-finite entries")
     try:
         inverse = lu_factor(A)
     except SingularMatrixError as exc:
-        return _stale(prev, t, f"a singular Jacobian ({exc})")
-    return PrecondState(inverse=inverse, built_at=t)
+        return _stale(prev, t, residual, f"a singular Jacobian ({exc})")
+    return PrecondState(inverse=inverse, built_at=t, residual=residual)
 
 
-def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
+def _stale(prev: PrecondState, t: float, residual: np.ndarray, cause: str) -> PrecondState:
     warnings.warn(
         f"preconditioner rebuild at t={t:g} hit {cause}; keeping previous factors",
         StalePreconditionerWarning,
         stacklevel=3,
     )
-    return PrecondState(inverse=prev.inverse, built_at=prev.built_at, stale=True)
+    return PrecondState(inverse=prev.inverse, built_at=prev.built_at, stale=True, residual=residual)
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:

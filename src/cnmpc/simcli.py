@@ -192,15 +192,15 @@ def run_simulation(
         if math.hypot(x[0] - consts.x_f, x[1] - consts.y_f) <= cfg.stop_radius:
             arrival = t
             break
-        # one residual at (U, x, t) serves the rebuild and the step
-        base = optimality_residual(spec, U, x, t)
-        rebuilt = False
-        step_precond = None
-        if cfg.precond_enabled:
-            if precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt):
-                pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate, base=base)
-                rebuilt = True
-            step_precond = functools.partial(precond.apply, pstate)
+        # a rebuild scores the residual at (U, x, t) in its Jacobian block;
+        # every other step evaluates it alone
+        rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
+        if rebuilt:
+            pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
+            base = pstate.residual
+        else:
+            base = optimality_residual(spec, U, x, t)
+        step_precond = functools.partial(precond.apply, pstate) if cfg.precond_enabled else None
         U, diag = continuation_step(
             spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
             solver=cfg.solver, precond=step_precond, base=base,

@@ -12,7 +12,6 @@ from cnmpc.continuation import (
     OcpDims,
     OcpSpec,
     TrajectoryDivergedError,
-    assemble_jacobian,
     difference_operator,
     optimality_residual,
 )
@@ -122,6 +121,25 @@ def quadratic_spec(n_steps=3, a=0.5, b=1.0, q=1.0, r=1.0, s=2.0):
     return OcpSpec(dims=dims, f=f, H_u=H_u, H_x=H_x, phi_x=phi_x)
 
 
+def linear_spec(M):
+    """Problem whose stationarity residual is exactly ``M @ U``: one scalar
+    control per stage, a state that never moves and no costate coupling.
+
+    The control gradient is ``N * (M @ u)``, which the kernel scales by the
+    stage length 1/N.
+    """
+    N = M.shape[0]
+    dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=N)
+
+    def f(tau, x, u, p):
+        return np.zeros_like(x)
+
+    def H_u(tau, x, lam, u, mu, p):
+        return (N * np.tensordot(M, u[0], axes=1))[None]
+
+    return OcpSpec(dims=dims, f=f, H_u=H_u)
+
+
 def fragile_spec(blow_up, n_steps=3, u_base=0.3):
     """The scalar LQ problem of :func:`quadratic_spec`, finite while every
     control equals ``u_base`` and broken by any perturbation of a control.
@@ -191,7 +209,7 @@ def sequential_initial_solve(
     for _ in range(max_newton):
         if norm <= tol_init:
             break
-        A = assemble_jacobian(difference_operator(spec, U, x0, t0, fd_step, base=F))
+        A = difference_operator(spec, U, x0, t0, fd_step, base=F).apply(np.eye(m))
         try:
             delta = dense_solve(A, -F)
         except SingularMatrixError:

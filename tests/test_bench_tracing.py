@@ -7,7 +7,11 @@ closed loop through the package's public calls and settings (``SimConfig``,
 ``PRESETS``, ``run_simulation``, ``write_csv``, ``initial_solve``), so a
 change to those breaks ``run.py --trace 0``."""
 
+import dataclasses
+import importlib.util
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,3 +76,27 @@ def test_tracing_wraps_every_spec_callback(tracing, consts):
             assert getattr(spec, f) is None, f
     assert tr.callbacks[0] > 0
     assert np.array_equal(F, optimality_residual(plain, U, consts.start))
+
+
+@pytest.fixture
+def bench_run(monkeypatch, tmp_path):
+    """``perfbench/run.py`` as a module, writing under ``tmp_path``; the
+    environment variables it pins at import are restored afterwards."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "WORKDIR", tmp_path)
+    return module
+
+
+@pytest.mark.parametrize("name", ["loop_plain", "loop_precond", "coldstart_horizon"])
+def test_traced_run_repeats_the_untraced_run(bench_run, tracing, workloads, name):
+    # ``run.py --trace 1`` on the first scenario: the traced passes must
+    # repeat the untraced outcomes bit for bit, make identical call counts,
+    # and account for every nanosecond of their wall time
+    wl = dataclasses.replace(workloads.WORKLOADS[name], trace_scenarios=1)
+    if wl.case is None:
+        wl = dataclasses.replace(wl, horizons=(10, 20))
+    out = bench_run.traced_run(wl, tracing, workloads, 3)
+    assert out["errors"] == []

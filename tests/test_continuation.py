@@ -21,13 +21,14 @@ from cnmpc.continuation import (
     initial_solve,
     optimality_residual,
 )
-from cnmpc.krylov import LinearMap, lu_factor, lu_solve
+from cnmpc.krylov import lu_factor, lu_solve
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from helpers import (
     backward_costates,
     central_residual_oracle,
     forward_states,
     fragile_spec,
+    linear_spec,
     quadratic_spec,
     random_decision,
     recursion_failure,
@@ -446,17 +447,20 @@ def test_difference_operator_exact_for_affine_residual():
 
 
 def test_assemble_jacobian_recovers_exact_matrix():
+    # a residual that is exactly linear, F(U) = M @ U, assembled at U = 0
     rng = np.random.default_rng(15)
     M = rng.standard_normal((7, 7))
-    A = assemble_jacobian(LinearMap(7, lambda v: M @ v))
-    assert np.allclose(A, M, atol=1e-14)
+    spec = linear_spec(M)
+    R = assemble_jacobian(spec, DecisionVector.zeros(spec.dims), np.zeros(1), 0.0, 1e-5)
+    assert np.all(R[:, 0] == 0.0)
+    assert np.allclose(R[:, 1:], M, atol=1e-14)
 
 
 def test_assemble_jacobian_matches_central_difference(consts, spec10):
     U = initial_guess(consts, 10)
     x0 = consts.start
     h = 1e-5
-    A = assemble_jacobian(difference_operator(spec10, U, x0, 0.0, h))
+    A = assemble_jacobian(spec10, U, x0, 0.0, h)[:, 1:]
     m = spec10.dims.decision_size
     C = np.empty((m, m))
     for j in range(m):
@@ -484,7 +488,7 @@ def test_assemble_jacobian_consistency_improves_with_step(consts, spec10):
             optimality_residual(spec10, Up, x0, 0.0) - optimality_residual(spec10, Um, x0, 0.0)
         ) / 2e-4
     err = {
-        h: np.linalg.norm(assemble_jacobian(difference_operator(spec10, U, x0, 0.0, h)) - C)
+        h: np.linalg.norm(assemble_jacobian(spec10, U, x0, 0.0, h)[:, 1:] - C)
         for h in (1e-5, 1e-6)
     }
     ratio = err[1e-5] / err[1e-6]
@@ -495,7 +499,10 @@ def test_assemble_jacobian_equals_column_applies_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
     op = difference_operator(spec10, U, consts.start, 0.0, 1e-5)
     columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
-    assert np.array_equal(assemble_jacobian(op), columns)
+    R = assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)
+    assert R.shape == (op.dim, op.dim + 1)
+    assert np.array_equal(R[:, 0], optimality_residual(spec10, U, consts.start, 0.0))
+    assert np.array_equal(R[:, 1:], columns)
 
 
 @settings(deadline=None, max_examples=30)
@@ -511,9 +518,8 @@ def test_assemble_jacobian_names_the_diverging_column(N, data):
     spec.f = f_threshold
     z = np.full(N, -1.0)
     z[j] = 0.5  # only a unit step along control j crosses the threshold
-    op = difference_operator(spec, DecisionVector(spec.dims, z), np.array([1.0]), 0.0, 1.0)
     with pytest.raises(TrajectoryDivergedError) as err:
-        assemble_jacobian(op)
+        assemble_jacobian(spec, DecisionVector(spec.dims, z), np.array([1.0]), 0.0, 1.0)
     # column j's state is the first to diverge, right after stage j
     assert err.value.kind == "state"
     assert err.value.step == j + 1
@@ -523,7 +529,7 @@ def test_symmetry_defect_scales_with_step(consts, spec10):
     U = initial_guess(consts, 10)
 
     def asym(h):
-        A = assemble_jacobian(difference_operator(spec10, U, consts.start, 0.0, h))
+        A = assemble_jacobian(spec10, U, consts.start, 0.0, h)[:, 1:]
         return np.linalg.norm(A - A.T) / np.linalg.norm(A)
 
     ratio = asym(1e-5) / asym(1e-6)
@@ -548,7 +554,7 @@ def test_continuation_step_affine_newton_exact():
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
-    A = assemble_jacobian(difference_operator(spec, U, x0, 0.0, 1e-6))
+    A = assemble_jacobian(spec, U, x0, 0.0, 1e-6)[:, 1:]
     factors = lu_factor(A)
     U_next, diag = continuation_step(
         spec, U, x0, 0.0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
@@ -718,9 +724,10 @@ def test_initial_solve_equals_sequential_backtracking_oracle(N, c_u, offset, dis
 
 
 def test_stalled_cold_start_scores_halvings_in_blocks(consts):
-    # Each Newton iteration is one assembly block (m, m) and one block
-    # (m, 21) holding the full step and its twenty halvings; nothing
-    # diverges, so the guess is the only single-vector residual.
+    # Each Newton iteration is one assembly block (m, m + 1), the iterate
+    # and its m difference points, and one block (m, 21) holding the full
+    # step and its twenty halvings; nothing diverges, so the guess is the
+    # only single-vector residual.
     spec = problem_spec(consts, 20)
     m = spec.dims.decision_size
     shapes = []
@@ -734,7 +741,7 @@ def test_stalled_cold_start_scores_halvings_in_blocks(consts):
         res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, 20))
     assert res.residual_norm > 1e-6  # the documented N = 20 stall
     assert shapes.count((m,)) == 1
-    assert shapes.count((m, m)) == shapes.count((m, 21)) == res.newton_iterations
+    assert shapes.count((m, m + 1)) == shapes.count((m, 21)) == res.newton_iterations
     assert len(shapes) == 1 + 2 * res.newton_iterations
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,15 +14,17 @@ from cnmpc.continuation import (
     DecisionVector,
     OcpDims,
     OcpSpec,
+    TrajectoryDivergedError,
     assemble_jacobian,
     difference_operator,
     initial_solve,
     optimality_residual,
 )
 from cnmpc.krylov import LinearMap, gmres, lu_factor
-from cnmpc.mintime import initial_guess
+from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
-from helpers import fragile_spec
+from cnmpc.simcli import PRESETS, SimConfig, run_simulation
+from helpers import fragile_spec, quadratic_spec, random_decision
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +87,24 @@ def test_rebuild_deterministic_bitwise(consts, spec10):
     assert np.array_equal(a.inverse, b.inverse)
 
 
-def test_rebuild_given_base_is_bitwise_identical(consts, spec10):
-    U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
-    own = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
-    given_base = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, base=base)
-    assert np.array_equal(own.inverse, given_base.inverse)
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from([1, 10, 40]), st.integers(min_value=0, max_value=2**32 - 1))
+def test_rebuild_residual_and_columns_equal_single_evaluations(N, seed):
+    # the rebuild's residual is the residual of the point, its inverse is the
+    # inverse of the assembled columns, and each column is the single apply
+    # of the difference operator along that axis, all bitwise
+    spec = problem_spec(MinTimeConstants(), N)
+    U = random_decision(spec.dims, seed)
+    x = MinTimeConstants().start
+    state = precond.rebuild(spec, U, x, 0.0, 1e-5)
+    F = optimality_residual(spec, U, x, 0.0)
+    assert np.array_equal(state.residual, F)
+    R = assemble_jacobian(spec, U, x, 0.0, 1e-5)
+    assert np.array_equal(R[:, 0], F)
+    op = difference_operator(spec, U, x, 0.0, 1e-5)
+    for j, e in enumerate(np.eye(op.dim)):
+        assert np.array_equal(R[:, j + 1], op.apply(e)), j
+    assert np.array_equal(state.inverse, lu_factor(R[:, 1:]))
 
 
 def test_rebuild_singular_keeps_previous_factors():
@@ -126,7 +142,8 @@ def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
 
 def test_rebuild_diverging_assembly_costs_one_block():
     # every difference column's state overflows at the first stage: the
-    # rebuild costs one block residual and warns with the recursion and step
+    # assembly costs one block residual, the residual of the point is then
+    # evaluated alone, and the warning names the block's recursion and step
     spec = fragile_spec("state")
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     x = np.array([0.5])
@@ -142,11 +159,90 @@ def test_rebuild_diverging_assembly_costs_one_block():
     with mock.patch.object(continuation, "block_residual", spy), pytest.warns(
         StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
     ):
-        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev=prev, base=base)
-    assert calls == [2]
+        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev=prev)
+    assert calls == [2, 1]
+    assert np.array_equal(state.residual, base)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
+    # only the unit step along control j crosses the threshold: the point's
+    # own residual is finite, so the rebuild warns, keeps the previous
+    # inverse and still returns the residual of the point
+    j = data.draw(st.integers(min_value=0, max_value=N - 1))
+    spec = quadratic_spec(N)
+    f = spec.f
+    spec.f = lambda tau, x, u, p: f(tau, x, u, p) + np.where(u[0] > 1.0, np.inf, 0.0)
+    z = np.full(N, -1.0)
+    z[j] = 0.5
+    U, x = DecisionVector(spec.dims, z), np.array([1.0])
+    prev = PrecondState(inverse=lu_factor(np.eye(N)), built_at=-0.1)
+    with pytest.warns(
+        StalePreconditionerWarning, match=f"state recursion diverged at horizon step {j + 1}"
+    ):
+        state = precond.rebuild(spec, U, x, 0.0, 1.0, prev=prev)
+    assert state.stale
+    assert state.inverse is prev.inverse
+    assert state.built_at == -0.1
+    assert np.array_equal(state.residual, optimality_residual(spec, U, x, 0.0))
+
+
+def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, preset_results):
+    # the case-2 rebuild at t = 0.2 (step 10) meets a block whose difference
+    # columns diverge; the step runs on the previous inverse and on the
+    # residual of the point, which equals the undisturbed run's
+    original = precond.assemble_jacobian
+
+    def diverging_columns(spec, U, x, t, step):
+        if abs(t - 0.2) > 1e-9:
+            return original(spec, U, x, t, step)
+        f = spec.f
+
+        def f_broken(tau, x_, u, p):
+            out = np.array(f(tau, x_, u, p), dtype=float)
+            out[:, 1:] = np.inf  # column 0 is the point itself
+            return out
+
+        return original(dataclasses.replace(spec, f=f_broken), U, x, t, step)
+
+    used = []
+    apply = precond.apply
+
+    def spy_apply(state, r):
+        used.append(state)
+        return apply(state, r)
+
+    monkeypatch.setattr(precond, "assemble_jacobian", diverging_columns)
+    monkeypatch.setattr(precond, "apply", spy_apply)
+    cfg = SimConfig(case_preset=2, **PRESETS[2])
+    cfg.t_end = 0.3
+    with pytest.warns(StalePreconditionerWarning, match="t=0.2 hit a failed Jacobian assembly"):
+        records = run_simulation(cfg).records
+    want = preset_results[2].records
+    assert records[:10] == want[:10]
+    assert records[10].rebuilt
+    assert records[10].norm_F == want[10].norm_F
+    stale = [state for state in used if state.stale]
+    assert stale and all(state.inverse is used[0].inverse for state in stale)
+
+
+def test_loop_raises_for_a_diverging_point_at_a_rebuild_step():
+    # the measured state at step 10, a case-2 rebuild step, is large enough
+    # that the point's own state recursion overflows: the loop raises as it
+    # does on any other step, and the rebuild warns of nothing
+    def blow_up(i, t, x):
+        return np.array([1.5e308, 0.0]) if i == 9 else x
+
+    cfg = SimConfig(case_preset=2, **PRESETS[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrajectoryDivergedError) as err:
+            run_simulation(cfg, measure=blow_up)
+    assert err.value.kind == "state"
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +285,7 @@ def test_apply_is_linear(alpha, seed):
 def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
     state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5)
-    A = assemble_jacobian(difference_operator(spec10, res.U, consts.start, 0.0, 1e-5))
+    A = assemble_jacobian(spec10, res.U, consts.start, 0.0, 1e-5)[:, 1:]
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
     out = gmres(
