@@ -47,8 +47,8 @@ def test_bench_block_residual_halving_block(benchmark, consts):
     # step at N = 40 and its halvings 1 to 20 times
     spec = problem_spec(consts, 40)
     U = initial_guess(consts, 40)
-    R = assemble_jacobian(spec, U, consts.start, 0.0, 1e-5)
-    delta = dense_solve(R[:, 1:], -R[:, 0])
+    assembly = assemble_jacobian(spec, U, consts.start, 0.0, 1e-5)
+    delta = dense_solve(assembly[:, 1:], -assembly[:, 0])
     Z = U.data[:, None] + delta[:, None] * 0.5 ** np.arange(21)
     R = benchmark(block_residual, spec, Z, consts.start)
     assert R.shape == (123, 21)

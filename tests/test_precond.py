@@ -24,7 +24,7 @@ from cnmpc.krylov import LinearMap, gmres, lu_factor
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from cnmpc.simcli import PRESETS, SimConfig, run_simulation
-from helpers import fragile_spec, quadratic_spec, random_decision
+from helpers import fragile_spec, random_decision, threshold_spec
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,7 @@ def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
     # own residual is finite, so the rebuild warns, keeps the previous
     # inverse and still returns the residual of the point
     j = data.draw(st.integers(min_value=0, max_value=N - 1))
-    spec = quadratic_spec(N)
-    f = spec.f
-    spec.f = lambda tau, x, u, p: f(tau, x, u, p) + np.where(u[0] > 1.0, np.inf, 0.0)
+    spec = threshold_spec("state", 1.0, N)
     z = np.full(N, -1.0)
     z[j] = 0.5
     U, x = DecisionVector(spec.dims, z), np.array([1.0])
