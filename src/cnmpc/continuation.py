@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .krylov import (
-    IndefinitePreconditionerError,
     LinearMap,
     Preconditioner,
     SingularMatrixError,
@@ -416,36 +415,25 @@ def optimality_residual(
 
 
 def difference_operator(
-    spec: OcpSpec,
-    U: DecisionVector,
-    x: np.ndarray,
-    t: float,
-    step: float,
-    base: Optional[np.ndarray] = None,
+    spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float, step: float, base: np.ndarray
 ) -> LinearMap:
     """Forward-difference directional derivative of the residual at U.
 
-    ``apply(V)`` returns (F[U + step*V] - F[U]) / step for a direction of
-    shape (m,) or for each column of an (m, K) block; the base residual is
-    evaluated once at construction, so an apply costs one block residual
+    ``apply(v)`` returns (F[U + step*v] - base) / step for a direction of
+    shape (m,), where ``base`` is F at (U, x, t); an apply costs one residual
     evaluation.
     """
     if step <= 0.0:
         raise ValueError("difference step must be positive")
-    dims = U.dims
     data = U.data.copy()
     x = np.asarray(x, dtype=float).copy()
-    if base is None:
-        base = optimality_residual(spec, DecisionVector(dims, data), x, t)
-    else:
-        base = np.asarray(base, dtype=float).copy()
+    base = np.asarray(base, dtype=float).copy()
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        rows = (slice(None),) + (None,) * (v.ndim - 1)  # broadcast over a block's columns
-        return (block_residual(spec, data[rows] + step * v, x, t) - base[rows]) / step
+        return (block_residual(spec, data + step * v, x, t) - base) / step
 
-    return LinearMap(dims.decision_size, apply)
+    return LinearMap(U.dims.decision_size, apply)
 
 
 def assemble_jacobian(
@@ -509,13 +497,14 @@ def continuation_step(
     difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
     ("gmres" or "minres") with at most ``k_max`` iterations to the relative
     tolerance ``tol``, and returns the updated vector U + h*W with the step's
-    diagnostics.  ``base`` is F at (U, x, t) when the caller already has it.
-    An unknown solver raises ValueError before any evaluation.  Solver
-    failures never raise: a preconditioner MINRES rejects as indefinite or
-    a Krylov direction whose trajectory diverges yields the zero update,
-    flagged ``degraded``, keeping the control loop alive.  Any other error,
-    such as a preconditioner returning the wrong shape, is a bug and
-    propagates.
+    diagnostics.  ``precond`` None means no preconditioner.  ``base`` is F at
+    (U, x, t) when the caller already has it; otherwise the step evaluates
+    it, and a point whose own trajectory diverges raises
+    :class:`TrajectoryDivergedError`.  An unknown solver raises ValueError
+    before any evaluation.  A Krylov direction whose trajectory diverges
+    yields the zero update, flagged ``degraded``, keeping the control loop
+    alive.  Any other error, such as a preconditioner that returns the wrong
+    shape or that MINRES rejects as indefinite, is a bug and propagates.
     """
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -526,10 +515,9 @@ def continuation_step(
     solve = gmres if solver == "gmres" else minres
     try:
         result = solve(op, precond, -base / fd_step, k_max=k_max, tol=tol)
-    except (IndefinitePreconditionerError, TrajectoryDivergedError):
-        # An indefinite preconditioner under MINRES or a trial direction
-        # whose trajectory diverges: keep the previous solution rather than
-        # halting the loop.
+    except TrajectoryDivergedError:
+        # A trial direction whose trajectory diverges: keep the previous
+        # solution rather than halting the loop.
         result = None
     if result is None:
         delta = np.zeros(op.dim)

@@ -11,7 +11,7 @@ running cost, and p doubles as the optimization parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class MinTimeConstants:
     y_f: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.r_u <= 0.0:
             raise ValueError("band radius r_u must be positive")
         if self.w_d <= 0.0:

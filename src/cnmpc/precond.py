@@ -19,7 +19,6 @@ from .continuation import (
     OcpSpec,
     TrajectoryDivergedError,
     assemble_jacobian,
-    optimality_residual,
 )
 from .krylov import SingularMatrixError, lu_factor, lu_solve
 
@@ -41,9 +40,9 @@ class PrecondState:
     """Current inverse from :func:`~cnmpc.krylov.lu_factor` plus bookkeeping;
     replaced wholesale at rebuilds.
 
-    ``residual`` is F at the point of the rebuild that returned this state,
-    stale or not (None before the first rebuild); the rebuild step uses it as
-    its base residual.
+    ``residual`` is F at the point of the rebuild that returned this state
+    (None before the first rebuild and after a diverging assembly block);
+    the rebuild step uses it as its base residual.
     """
 
     inverse: Optional[np.ndarray] = None
@@ -81,19 +80,16 @@ def rebuild(
     a singular factorization keeps the previous factors (a stale
     preconditioner beats a sudden conditioning cliff), emits a warning, and
     marks the state stale; the control loop is never halted from here.
-    When the block diverges, the residual at the current point is evaluated
-    alone first: a current point whose own trajectory diverges raises
-    :class:`~cnmpc.continuation.TrajectoryDivergedError` with no warning,
-    as the step's residual would; otherwise the warning names the recursion
-    and the horizon step of the block.  Any other error in the assembly is
-    a bug and propagates.
+    When the block diverges, the warning names its recursion and horizon
+    step, and ``residual`` is None: the block does not tell whether the
+    current point itself diverged, so the step evaluates F there.  Any other
+    error in the assembly is a bug and propagates.
     """
     prev = prev if prev is not None else PrecondState()
     try:
         R = assemble_jacobian(spec, U, x, t, fd_step)
     except TrajectoryDivergedError as exc:
-        residual = optimality_residual(spec, U, x, t)
-        return _stale(prev, t, residual, f"a failed Jacobian assembly ({exc})")
+        return _stale(prev, t, None, f"a failed Jacobian assembly ({exc})")
     residual, A = R[:, 0].copy(), R[:, 1:]
     if not np.isfinite(A).all():
         return _stale(prev, t, residual, "a Jacobian with non-finite entries")
@@ -104,7 +100,9 @@ def rebuild(
     return PrecondState(inverse=inverse, built_at=t, residual=residual)
 
 
-def _stale(prev: PrecondState, t: float, residual: np.ndarray, cause: str) -> PrecondState:
+def _stale(
+    prev: PrecondState, t: float, residual: Optional[np.ndarray], cause: str
+) -> PrecondState:
     warnings.warn(
         f"preconditioner rebuild at t={t:g} hit {cause}; keeping previous factors",
         StalePreconditionerWarning,
@@ -114,7 +112,6 @@ def _stale(prev: PrecondState, t: float, residual: np.ndarray, cause: str) -> Pr
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:
-    """Matvec with the stored inverse; identity while none is built."""
-    if state.inverse is None:
-        return np.asarray(r, dtype=float)
+    """Matvec with the stored inverse, which must be built: with no inverse
+    the step runs without a preconditioner."""
     return lu_solve(state.inverse, r)

@@ -19,7 +19,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from . import precond
-from .continuation import ColdStartError, continuation_step, initial_solve, optimality_residual
+from .continuation import ColdStartError, continuation_step, initial_solve
 from .mintime import MinTimeConstants, initial_guess, plant_rate, problem_spec
 
 __all__ = [
@@ -77,22 +77,23 @@ class SimConfig:
     def validate(self) -> None:
         if self.case_preset is not None and self.case_preset not in PRESETS:
             raise ValueError(f"case must be one of {sorted(PRESETS)}, got {self.case_preset}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        # the chained comparisons reject NaN and infinities too
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"N must be at least 1, got {self.n_steps}")
-        if self.h <= 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.k_max < 1:
             raise ValueError(f"kmax must be at least 1, got {self.k_max}")
-        if self.t_p <= 0.0:
-            raise ValueError(f"tp must be positive, got {self.t_p}")
-        if self.t_end < 0.0:
-            raise ValueError(f"tmax must be nonnegative, got {self.t_end}")
-        if self.stop_radius <= 0.0:
-            raise ValueError(f"stop_radius must be positive, got {self.stop_radius}")
+        if not 0.0 < self.t_p < math.inf:
+            raise ValueError(f"tp must be positive and finite, got {self.t_p}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"tmax must be nonnegative and finite, got {self.t_end}")
+        if not 0.0 < self.stop_radius < math.inf:
+            raise ValueError(f"stop_radius must be positive and finite, got {self.stop_radius}")
         if self.solver not in ("gmres", "minres"):
             raise ValueError(f"solver must be gmres or minres, got {self.solver}")
         if self.solver == "minres" and self.precond_enabled:
@@ -193,17 +194,14 @@ def run_simulation(
             arrival = t
             break
         # a rebuild scores the residual at (U, x, t) in its Jacobian block;
-        # every other step evaluates it alone
+        # on every other step the continuation step evaluates it
         rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
-            base = pstate.residual
-        else:
-            base = optimality_residual(spec, U, x, t)
-        step_precond = functools.partial(precond.apply, pstate) if cfg.precond_enabled else None
         U, diag = continuation_step(
-            spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
-            solver=cfg.solver, precond=step_precond, base=base,
+            spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
+            precond=None if pstate.inverse is None else functools.partial(precond.apply, pstate),
+            base=pstate.residual if rebuilt else None,
         )
         u_applied = U.u(0)
         records.append(
@@ -278,23 +276,30 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
 
     Reports total solver iterations, map evaluations including the
     preconditioner's column builds, and max/median residual norms.  Runs on
-    disjoint grids yield an empty report with a warning; mismatched grid
-    lengths are aligned on their common prefix.
+    disjoint grids yield an empty report with a warning; runs of different
+    lengths, or whose step times part, are aligned on their common prefix
+    with a warning that says which.
     """
     warnings_list: list[str] = []
-    n = min(len(baseline.records), len(candidate.records))
+    n_base, n_cand = len(baseline.records), len(candidate.records)
+    n = min(n_base, n_cand)
     common = 0
     for i in range(n):
         if baseline.records[i].t != candidate.records[i].t:
             break
         common += 1
-    if common < max(len(baseline.records), len(candidate.records)):
-        warnings_list.append(
-            f"step grids differ; comparing the common prefix of {common} steps"
-        )
     if common == 0:
         warnings_list.append("step grids are disjoint; nothing to compare")
         return RunComparison(steps_compared=0, metrics={}, warnings=warnings_list)
+    if common < n:
+        warnings_list.append(
+            f"step grids differ from step {common}; comparing the common prefix of {common} steps"
+        )
+    elif n_base != n_cand:
+        warnings_list.append(
+            f"runs have {n_base} and {n_cand} steps on the same grid; "
+            f"comparing the common prefix of {common} steps"
+        )
 
     base = baseline.records[:common]
     cand = candidate.records[:common]
@@ -433,8 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_cli(argv: list[str]) -> SimConfig:
     """Build a validated configuration from CLI arguments.
 
-    Usage problems (unknown flags, out-of-range values, missing inputs) exit
-    with status 2 through the argparse error channel.
+    Usage problems (unknown flags, out-of-range or non-finite values, missing
+    inputs, an ``--out`` path in a directory that does not exist) exit with
+    status 2 through the argparse error channel, before any run.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -444,6 +450,8 @@ def parse_cli(argv: list[str]) -> SimConfig:
         file_values = load_config_file(args.config) if args.config is not None else {}
         cfg = _config_from_sources(file_values, args)
         cfg.validate()
+        if cfg.out_path is not None and not cfg.out_path.parent.is_dir():
+            raise ValueError(f"--out: directory {cfg.out_path.parent} does not exist")
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
     return cfg

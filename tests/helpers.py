@@ -209,7 +209,8 @@ def sequential_initial_solve(
     for _ in range(max_newton):
         if norm <= tol_init:
             break
-        A = difference_operator(spec, U, x0, t0, fd_step, base=F).apply(np.eye(m))
+        op = difference_operator(spec, U, x0, t0, fd_step, F)
+        A = np.column_stack([op.apply(e) for e in np.eye(m)])
         try:
             delta = dense_solve(A, -F)
         except SingularMatrixError:

@@ -145,7 +145,8 @@ def test_criterion_9_symmetry_scaling(consts, spec10):
 
 def test_criterion_10_determinism(tmp_path, consts, spec10):
     U = initial_guess(consts, 10)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
+    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
     columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
     jac_ok = np.array_equal(assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)[:, 1:], columns)
     paths = []

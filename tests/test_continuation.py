@@ -21,7 +21,7 @@ from cnmpc.continuation import (
     initial_solve,
     optimality_residual,
 )
-from cnmpc.krylov import lu_factor, lu_solve
+from cnmpc.krylov import IndefinitePreconditionerError, lu_factor, lu_solve
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from helpers import (
     backward_costates,
@@ -236,12 +236,6 @@ def test_block_residual_columns_match_single_evaluations(N, K, seed):
         oracle = residual_rows(c, U, xs, backward_costates(spec, xs, U))
         scale = np.max(np.abs(R[:, k])) + 1.0
         assert np.max(np.abs(R[:, k] - oracle)) <= 50 * eps * scale
-    # a block apply of the difference operator is K single applies
-    op = difference_operator(spec, cols[0], x0, 0.0, 1e-5)
-    V = np.random.default_rng(seed + 1).standard_normal((op.dim, K))
-    block = op.apply(V)
-    for k in range(K):
-        assert np.array_equal(block[:, k], op.apply(V[:, k]))
 
 
 def test_callback_with_wrong_shape_is_rejected():
@@ -414,7 +408,8 @@ def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
 
 def test_difference_operator_vanishes_at_zero(consts, spec10):
     U = initial_guess(consts, 10)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
+    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
     assert np.all(op.apply(np.zeros(op.dim)) == 0.0)
 
 
@@ -423,9 +418,10 @@ def test_difference_operator_linearity_defect_scales_with_step(consts, spec10):
     rng = np.random.default_rng(5)
     v1 = rng.standard_normal(spec10.dims.decision_size)
     v2 = rng.standard_normal(spec10.dims.decision_size)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
 
     def defect(step):
-        op = difference_operator(spec10, U, consts.start, 0.0, step)
+        op = difference_operator(spec10, U, consts.start, 0.0, step, base)
         return np.linalg.norm(op.apply(v1 + v2) - op.apply(v1) - op.apply(v2))
 
     ratio = defect(1e-4) / defect(1e-5)
@@ -435,7 +431,8 @@ def test_difference_operator_linearity_defect_scales_with_step(consts, spec10):
 def test_difference_operator_exact_for_affine_residual():
     spec = quadratic_spec()
     U = DecisionVector(spec.dims, np.array([0.4, -0.2, 0.8]))
-    op = difference_operator(spec, U, np.array([1.0]), 0.0, 1e-5)
+    x0 = np.array([1.0])
+    op = difference_operator(spec, U, x0, 0.0, 1e-5, optimality_residual(spec, U, x0, 0.0))
     rng = np.random.default_rng(8)
     v1, v2 = rng.standard_normal((2, 3))
     defect = op.apply(v1 + v2) - op.apply(v1) - op.apply(v2)
@@ -497,11 +494,12 @@ def test_assemble_jacobian_consistency_improves_with_step(consts, spec10):
 
 def test_assemble_jacobian_equals_column_applies_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5)
+    base = optimality_residual(spec10, U, consts.start, 0.0)
+    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
     columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
     R = assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)
     assert R.shape == (op.dim, op.dim + 1)
-    assert np.array_equal(R[:, 0], optimality_residual(spec10, U, consts.start, 0.0))
+    assert np.array_equal(R[:, 0], base)
     assert np.array_equal(R[:, 1:], columns)
 
 
@@ -565,14 +563,17 @@ def test_continuation_step_affine_newton_exact():
     assert diag.iterations <= 2
 
 
-def test_continuation_step_survives_solver_rejection():
+def test_continuation_step_propagates_indefinite_preconditioner():
+    # an indefinite preconditioner under MINRES breaks the solver's contract:
+    # a caller bug, not a degraded step
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
+    before = U.data.copy()
     settings = {**STEP, "solver": "minres", "k_max": 3, "tol": 1e-8}
-    U_next, diag = continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: -r)
-    assert diag.degraded
-    assert np.array_equal(U_next.data, U.data)  # best available update is zero
+    with pytest.raises(IndefinitePreconditionerError):
+        continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: -r)
+    assert np.array_equal(U.data, before)
 
 
 def test_continuation_step_rejects_unknown_solver_before_evaluating(consts, spec10):

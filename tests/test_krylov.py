@@ -342,8 +342,8 @@ def _oracle_problem(kind, m, seed):
         U = initial_guess(c, 10)
         U.data[:] += 0.01 * rng.standard_normal(U.data.size)
         spec = problem_spec(c, 10)
-        op = difference_operator(spec, U, c.start, 0.0, 1e-5)
-        return op, -optimality_residual(spec, U, c.start) / 1e-5
+        F = optimality_residual(spec, U, c.start)
+        return difference_operator(spec, U, c.start, 0.0, 1e-5, F), -F / 1e-5
     A = rng.standard_normal((m, m))
     if kind == "rank_one":
         A = np.outer(rng.standard_normal(m), rng.standard_normal(m))

@@ -20,7 +20,7 @@ from cnmpc.continuation import (
     initial_solve,
     optimality_residual,
 )
-from cnmpc.krylov import LinearMap, gmres, lu_factor
+from cnmpc.krylov import LinearMap, SingularMatrixError, gmres, lu_factor
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from cnmpc.simcli import PRESETS, SimConfig, run_simulation
@@ -101,7 +101,7 @@ def test_rebuild_residual_and_columns_equal_single_evaluations(N, seed):
     assert np.array_equal(state.residual, F)
     R = assemble_jacobian(spec, U, x, 0.0, 1e-5)
     assert np.array_equal(R[:, 0], F)
-    op = difference_operator(spec, U, x, 0.0, 1e-5)
+    op = difference_operator(spec, U, x, 0.0, 1e-5, F)
     for j, e in enumerate(np.eye(op.dim)):
         assert np.array_equal(R[:, j + 1], op.apply(e)), j
     assert np.array_equal(state.inverse, lu_factor(R[:, 1:]))
@@ -138,16 +138,17 @@ def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
+    # a diverging block leaves F at the point to the step
+    assert (state.residual is None) == (blow_up == "state")
 
 
 def test_rebuild_diverging_assembly_costs_one_block():
     # every difference column's state overflows at the first stage: the
-    # assembly costs one block residual, the residual of the point is then
-    # evaluated alone, and the warning names the block's recursion and step
+    # assembly costs one block residual and nothing else, returns no
+    # residual, and the warning names the block's recursion and step
     spec = fragile_spec("state")
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     x = np.array([0.5])
-    base = optimality_residual(spec, U, x, 0.0)
     prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
     calls = []
     original = continuation.block_residual
@@ -160,8 +161,8 @@ def test_rebuild_diverging_assembly_costs_one_block():
         StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
     ):
         state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev=prev)
-    assert calls == [2, 1]
-    assert np.array_equal(state.residual, base)
+    assert calls == [2]
+    assert state.residual is None
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -170,9 +171,9 @@ def test_rebuild_diverging_assembly_costs_one_block():
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
-    # only the unit step along control j crosses the threshold: the point's
-    # own residual is finite, so the rebuild warns, keeps the previous
-    # inverse and still returns the residual of the point
+    # only the unit step along control j crosses the threshold: the rebuild
+    # warns, keeps the previous inverse and leaves F at the point, which is
+    # finite, to the step
     j = data.draw(st.integers(min_value=0, max_value=N - 1))
     spec = threshold_spec("state", 1.0, N)
     z = np.full(N, -1.0)
@@ -186,13 +187,14 @@ def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
-    assert np.array_equal(state.residual, optimality_residual(spec, U, x, 0.0))
+    assert state.residual is None
+    assert np.isfinite(optimality_residual(spec, U, x, 0.0)).all()
 
 
 def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, preset_results):
     # the case-2 rebuild at t = 0.2 (step 10) meets a block whose difference
-    # columns diverge; the step runs on the previous inverse and on the
-    # residual of the point, which equals the undisturbed run's
+    # columns diverge; the step runs on the previous inverse and evaluates
+    # the residual of the point, which equals the undisturbed run's
     original = precond.assemble_jacobian
 
     def diverging_columns(spec, U, x, t, step):
@@ -228,29 +230,43 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
     assert stale and all(state.inverse is used[0].inverse for state in stale)
 
 
+def test_loop_without_a_built_inverse_runs_unpreconditioned(monkeypatch):
+    # the first case-2 rebuild meets a singular Jacobian, so no inverse is
+    # built: the loop passes no preconditioner, and the step equals the one
+    # a run with preconditioning off makes
+    def singular(A):
+        raise SingularMatrixError("forced")
+
+    monkeypatch.setattr(precond, "lu_factor", singular)
+    monkeypatch.setattr(precond, "apply", None)  # must not be reached
+    cfg = SimConfig(case_preset=2, **PRESETS[2])
+    cfg.t_end = 0.02
+    with pytest.warns(StalePreconditionerWarning, match="t=0 hit a singular Jacobian"):
+        step = run_simulation(cfg).records[0]
+    plain = SimConfig(precond_enabled=False, k_max=PRESETS[2]["k_max"], t_end=0.02)
+    assert dataclasses.replace(step, rebuilt=False) == run_simulation(plain).records[0]
+
+
 def test_loop_raises_for_a_diverging_point_at_a_rebuild_step():
     # the measured state at step 10, a case-2 rebuild step, is large enough
-    # that the point's own state recursion overflows: the loop raises as it
-    # does on any other step, and the rebuild warns of nothing
+    # that the point's own state recursion overflows: the rebuild's block
+    # diverges, so it warns and keeps the previous inverse, and the step's
+    # own residual then raises as it does on any other step
     def blow_up(i, t, x):
         return np.array([1.5e308, 0.0]) if i == 9 else x
 
     cfg = SimConfig(case_preset=2, **PRESETS[2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(TrajectoryDivergedError) as err:
             run_simulation(cfg, measure=blow_up)
     assert err.value.kind == "state"
+    assert [w.category for w in caught] == [StalePreconditionerWarning]
+    assert "t=0.2 hit a failed Jacobian assembly" in str(caught[0].message)
 
 
 # ---------------------------------------------------------------------------
 # apply
-
-
-def test_apply_identity_without_factors():
-    r = np.array([1.0, -2.0, 3.0])
-    out = precond.apply(PrecondState(), r)
-    assert np.array_equal(out, r)
 
 
 def test_apply_scaled_identity_factors():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cnmpc
-from cnmpc import precond
+from cnmpc import continuation, precond, simcli
 from cnmpc.continuation import ColdStartError
 from cnmpc.mintime import MinTimeConstants, problem_dims
 from cnmpc.simcli import (
@@ -87,6 +87,14 @@ def test_parse_cli_rejects_unknown_flag():
         ["--case", "1", "--solver", "cg"],
         ["--case", "1", "--precond", "maybe"],
         ["--case", "2", "--tp", "0"],
+        # non-finite values: NaN passes every ordering check, so each is named
+        ["--case", "1", "--dt", "nan"],
+        ["--case", "1", "--h", "inf"],
+        ["--case", "1", "--tol", "nan"],
+        ["--case", "2", "--tp", "nan"],
+        ["--case", "2", "--tp", "inf"],
+        ["--case", "1", "--tmax", "nan"],
+        ["--case", "1", "--tmax", "inf"],
     ],
 )
 def test_parse_cli_out_of_range_values(argv):
@@ -186,6 +194,16 @@ def test_config_file_key_sets_its_constant(tmp_path, key):
     assert cfg.constants == dataclasses.replace(MinTimeConstants(), **{CONSTANT_KEYS[key]: 0.123})
 
 
+@pytest.mark.parametrize("setting", ["tp = inf", "stop_radius = nan", "cu = nan", "x0 = inf"])
+def test_config_file_non_finite_value_is_usage_error(tmp_path, setting):
+    # a non-finite setting or constant is rejected before the cold start
+    path = tmp_path / "run.cfg"
+    path.write_text(f"case = 2\n{setting}\n")
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(["--config", str(path)])
+    assert exc.value.code == 2
+
+
 def test_config_file_unknown_key_or_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("case = 1\nwhatever = 12\n")
@@ -241,6 +259,17 @@ def test_csv_round_trip_exact(tmp_path, preset_results):
 def test_write_csv_io_error(tmp_path):
     with pytest.raises(OSError, match="missing"):
         write_csv(SimResult([], None, 33), tmp_path / "missing" / "x.csv")
+
+
+def test_main_rejects_out_in_missing_directory_before_the_run(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the simulation")
+
+    monkeypatch.setattr(simcli, "run_simulation", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["--case", "1", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +353,41 @@ def test_run_without_precond_never_consults_schedule(monkeypatch):
     assert not any(r.rebuilt for r in result.records)
 
 
+@pytest.mark.parametrize("case", [1, 2])
+def test_kernel_calls_per_loop_step(monkeypatch, case):
+    # block_residual calls per loop step: case 1 scores F and one apply per
+    # Krylov iteration; case 2 makes two on every step, a rebuild step's
+    # assembly block (F in its column 0) and one apply, or F and one apply
+    calls = []
+    marks = []
+    kernel = continuation.block_residual
+    cold_start = simcli.initial_solve
+
+    def spy(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    def marked_cold_start(*args, **kwargs):
+        out = cold_start(*args, **kwargs)
+        marks.append(len(calls))
+        return out
+
+    def mark(i, t, x):
+        marks.append(len(calls))
+        return x
+
+    monkeypatch.setattr(continuation, "block_residual", spy)
+    monkeypatch.setattr(simcli, "initial_solve", marked_cold_start)
+    records = run_simulation(SimConfig(case_preset=case, **PRESETS[case]), measure=mark).records
+    per_step = [b - a for a, b in zip(marks, marks[1:])]
+    assert len(per_step) == len(records)
+    if case == 1:
+        assert per_step == [1 + r.iterations for r in records]
+    else:
+        assert sum(r.rebuilt for r in records) > 1
+        assert per_step == [2] * len(records)
+
+
 def test_cold_start_failure_raises_with_residual():
     cfg = SimConfig(case_preset=1, **PRESETS[1])
     cfg.constants = type(cfg.constants)(x_f=-1.0, y_f=0.0)
@@ -348,7 +412,7 @@ def test_compare_disjoint_grids_empty_with_warning(preset_results):
     report = compare_runs(preset_results[1], empty)
     assert report.steps_compared == 0
     assert report.metrics == {}
-    assert any("disjoint" in w for w in report.warnings)
+    assert report.warnings == ["step grids are disjoint; nothing to compare"]
 
 
 def test_compare_mismatched_grids_common_prefix(preset_results):
@@ -356,6 +420,27 @@ def test_compare_mismatched_grids_common_prefix(preset_results):
     report = compare_runs(preset_results[1], truncated)
     assert report.steps_compared == 20
     assert any("common prefix" in w for w in report.warnings)
+
+
+def test_compare_runs_of_different_length_on_one_grid(preset_results):
+    # cases 1 and 2 share the sampling grid and stop at different steps
+    base, cand = preset_results[1], preset_results[2]
+    assert len(base.records) != len(cand.records)
+    report = compare_runs(base, cand)
+    n = min(len(base.records), len(cand.records))
+    assert report.steps_compared == n
+    assert report.warnings == [
+        f"runs have {len(base.records)} and {len(cand.records)} steps on the same grid; "
+        f"comparing the common prefix of {n} steps"
+    ]
+
+
+def test_compare_step_times_that_part(preset_results):
+    records = preset_results[1].records
+    shifted = records[:5] + [dataclasses.replace(r, t=r.t + 0.01) for r in records[5:]]
+    report = compare_runs(preset_results[1], SimResult(shifted, None, 33))
+    assert report.steps_compared == 5
+    assert report.warnings == ["step grids differ from step 5; comparing the common prefix of 5 steps"]
 
 
 def test_compare_report_formats(preset_results):
