@@ -102,12 +102,21 @@ class OcpSpec:
     is () for one vector and (K,) for a block, and ``x[0]`` is the first
     state component of every column either way.
 
-    - ``f(tau, x, u, p)`` and ``H_x(tau, x, lam, u, mu, p)`` run once per
-      stage with a float ``tau`` and arguments of shape (n, *batch);
-    - ``H_u``, ``C`` and ``H_p`` run once for all stages with stage
-      arguments of shape (n, N, *batch), the stage times ``tau`` and the
-      parameter ``p`` with length-one axes that broadcast against them
-      ((N,) or (N, 1), and (n_p, 1, *batch));
+    - ``stage_terms(tau, u, p)`` runs once per evaluation, before the
+      recursions, with the all-stage arguments that ``H_u`` gets, and
+      returns a float array (n_s, N, *batch) of terms shared by the stage
+      callbacks (``n_s`` is the problem's choice; the engine checks only the
+      trailing axes).  Its value ``s`` is the last positional argument of
+      every callback that takes the stage controls; left as None, ``s`` is
+      an empty (0, N, *batch) array;
+    - ``f(tau, x, u, p, s)`` and ``H_x(tau, x, lam, u, mu, p, s)`` run once
+      per stage with a float ``tau``, arguments of shape (n, *batch) and
+      their own stage's slice ``s[:, i]``;
+    - ``H_u(tau, x, lam, u, mu, p, s)``, ``C(tau, x, u, p, s)`` and
+      ``H_p(tau, x, lam, u, mu, p, s)`` run once for all stages with stage
+      arguments of shape (n, N, *batch), the whole ``s``, and the stage
+      times ``tau`` and the parameter ``p`` with length-one axes that
+      broadcast against them ((N,) or (N, 1), and (n_p, 1, *batch));
     - the terminal callbacks get the final state and ``p`` with shapes
       (n_x, *batch) and (n_p, *batch).
 
@@ -140,6 +149,7 @@ class OcpSpec:
     phi: Optional[Callable[..., float]] = None
     phi_x: Optional[Callable[..., np.ndarray]] = None
     phi_p: Optional[Callable[..., np.ndarray]] = None
+    stage_terms: Optional[Callable[..., np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.dims.n_c > 0 and self.C is None:
@@ -229,6 +239,11 @@ def _call(callback: Callable[..., np.ndarray], shape: tuple, *args) -> np.ndarra
     out = callback(*args)
     if type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape:
         return out
+    return _converted(out, shape)
+
+
+def _converted(out, shape: tuple) -> np.ndarray:
+    """The converting path of :func:`_call`."""
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         if out.shape != shape[: out.ndim]:
@@ -246,10 +261,11 @@ def _transpose_times(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # Overflow and invalid-value warnings are off only in the evaluations whose
-# non-finite results the code checks explicitly: the recursions (one check
-# per recursion), the residual norms (an infinite norm is a failed step) and
-# the cold start's diagonal shift (checked before use).
-_checks_nonfinite = np.errstate(over="ignore", invalid="ignore")
+# non-finite results the code checks explicitly: the stage terms and the
+# recursions (one check per recursion), the residual norms (an infinite norm
+# is a failed step) and the cold start's diagonal shift (checked before use).
+_IGNORE_NONFINITE = {"over": "ignore", "invalid": "ignore"}
+_checks_nonfinite = np.errstate(**_IGNORE_NONFINITE)
 
 
 def _bad_stages(stacked: np.ndarray):
@@ -281,61 +297,93 @@ def _stage_times(N: int, rank: int) -> np.ndarray:
     return taus
 
 
-@_checks_nonfinite
-def _forward(spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _stage_terms(spec: OcpSpec, taus: np.ndarray, u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The shared stage terms (n_s, N, *batch) of ``spec.stage_terms`` at the
+    all-stage arguments; (0, N, *batch) when the spec has none."""
+    shape = u.shape[1:]
+    if spec.stage_terms is None:
+        return np.empty((0,) + shape)
+    s = spec.stage_terms(taus, u, p)
+    if not (type(s) is np.ndarray and s.dtype is _FLOAT):
+        s = np.asarray(s, dtype=float)
+    if s.shape[1:] != shape:
+        raise ValueError(f"stage_terms returned shape {s.shape}, expected (n_s,) + {shape}")
+    return s
+
+
+def _forward(
+    spec: OcpSpec, x0: np.ndarray, u: np.ndarray, p: np.ndarray, s: np.ndarray
+) -> np.ndarray:
     """Explicit Euler states of every column, shape (N+1, n_x, *batch).
 
     Raises :class:`TrajectoryDivergedError` for the first stage, in
     recursion order, with a non-finite state; ``f`` runs on every stage
-    first, since one finiteness check covers the whole recursion.
+    first, since one finiteness check covers the whole recursion.  Each
+    stage is written in place as ``x + dtau * f``, with the roundings of
+    that expression.
     """
     d = spec.dims
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d.n_x,):
         raise ValueError(f"state must have length {d.n_x}")
-    dtau = spec.dtau
+    f, dtau = spec.f, spec.dtau
     batch = p.shape[1:]
     shape = (d.n_x,) + batch
     xs = np.empty((d.N + 1,) + shape)
     xs[0] = x0.reshape((d.n_x,) + (1,) * len(batch))
-    x = xs[0]
+    u_st, s_st = u.swapaxes(0, 1), s.swapaxes(0, 1)
     for i in range(d.N):
-        x = x + dtau * _call(spec.f, shape, i * dtau, x, u[:, i], p)
-        xs[i + 1] = x
+        out = f(i * dtau, xs[i], u_st[i], p, s_st[i])
+        if not (type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape):
+            out = _converted(out, shape)
+        nxt = xs[i + 1]
+        np.multiply(dtau, out, out=nxt)
+        np.add(xs[i], nxt, out=nxt)
     bad = _bad_stages(xs[1:])
     if len(bad):
         raise TrajectoryDivergedError("state", int(bad[0]) + 1)
     return xs
 
 
-@_checks_nonfinite
 def _backward(
-    spec: OcpSpec, xs: np.ndarray, u: np.ndarray, mu: np.ndarray, nu: np.ndarray, p: np.ndarray
+    spec: OcpSpec,
+    xs: np.ndarray,
+    u: np.ndarray,
+    mu: np.ndarray,
+    nu: np.ndarray,
+    p: np.ndarray,
+    s: np.ndarray,
 ) -> np.ndarray:
     """Costates of every column from the terminal condition, shape (N+1, n_x, *batch).
 
     Raises :class:`TrajectoryDivergedError` for the first stage, in
     recursion order (the largest index), with a non-finite costate; a
-    non-finite terminal costate names stage N-1.
+    non-finite terminal costate names stage N-1.  Each stage is written in
+    place as ``lam + dtau * H_x``, with the roundings of that expression.
     """
     d = spec.dims
-    dtau = spec.dtau
+    H_x, dtau = spec.H_x, spec.dtau
     tau_N = 1.0
     shape = xs.shape[1:]
     lam = np.empty(xs.shape)
-    lam_i = np.zeros(shape)
+    lam_N = np.zeros(shape)
     if spec.phi_x is not None:
-        lam_i = lam_i + _call(spec.phi_x, shape, tau_N, xs[d.N], p)
+        lam_N = lam_N + _call(spec.phi_x, shape, tau_N, xs[d.N], p)
     if d.n_psi > 0:
         psi_x = _call(spec.psi_x, (d.n_psi,) + shape, tau_N, xs[d.N], p)
-        lam_i = lam_i + _transpose_times(psi_x, nu)
-    lam[d.N] = lam_i
-    for i in range(d.N - 1, -1, -1):
-        if spec.H_x is not None:
-            lam_i = lam_i + dtau * _call(
-                spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p
-            )
-        lam[i] = lam_i
+        lam_N = lam_N + _transpose_times(psi_x, nu)
+    lam[d.N] = lam_N
+    if H_x is None:
+        lam[: d.N] = lam_N
+    else:
+        u_st, mu_st, s_st = u.swapaxes(0, 1), mu.swapaxes(0, 1), s.swapaxes(0, 1)
+        for i in range(d.N - 1, -1, -1):
+            out = H_x(i * dtau, xs[i], lam[i + 1], u_st[i], mu_st[i], p, s_st[i])
+            if not (type(out) is np.ndarray and out.dtype is _FLOAT and out.shape == shape):
+                out = _converted(out, shape)
+            nxt = lam[i]
+            np.multiply(dtau, out, out=nxt)
+            np.add(lam[i + 1], nxt, out=nxt)
     bad = _bad_stages(lam[: d.N])
     if len(bad):
         raise TrajectoryDivergedError("costate", int(bad[-1]))
@@ -354,8 +402,9 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
     accepted for interface parity with time-varying problems; the recursions
     run on the normalized horizon grid.
 
-    The recursions run once per stage over all columns, and ``H_u``, ``C``
-    and ``H_p`` are evaluated once over all stages.  Every operation acts
+    The recursions run once per stage over all columns, and
+    ``stage_terms``, ``H_u``, ``C`` and ``H_p`` are evaluated once over all
+    stages.  Every operation acts
     column by column, so a column's residual does not depend on the others.
     """
     d = spec.dims
@@ -365,20 +414,22 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
     N, batch = d.N, Z.shape[1:]
     dtau = spec.dtau
     u, mu, nu, p = _blocks(d, Z)
-    xs = _forward(spec, x, u, p)
-    lam = _backward(spec, xs, u, mu, nu, p)
     taus = _stage_times(N, len(batch))
+    stage_p = p[:, None]
+    with np.errstate(**_IGNORE_NONFINITE):
+        s = _stage_terms(spec, taus, u, stage_p)
+        xs = _forward(spec, x, u, p, s)
+        lam = _backward(spec, xs, u, mu, nu, p, s)
     states = xs[:N].swapaxes(0, 1)
     costates = lam[1:].swapaxes(0, 1)
-    stage_p = p[:, None]
     out = np.empty(Z.shape)
     pos = N * d.n_u
     _stages(out[:pos], d.n_u, N)[...] = dtau * _call(
-        spec.H_u, (d.n_u, N) + batch, taus, states, costates, u, mu, stage_p
+        spec.H_u, (d.n_u, N) + batch, taus, states, costates, u, mu, stage_p, s
     )
     if d.n_c:
         _stages(out[pos : pos + N * d.n_c], d.n_c, N)[...] = dtau * _call(
-            spec.C, (d.n_c, N) + batch, taus, states, u, stage_p
+            spec.C, (d.n_c, N) + batch, taus, states, u, stage_p, s
         )
         pos += N * d.n_c
     tau_N = 1.0
@@ -399,7 +450,7 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
             seq = np.empty((d.n_p, N + 1) + batch)
             seq[:, 0] = acc
             seq[:, 1:] = dtau * _call(
-                spec.H_p, (d.n_p, N) + batch, taus, states, costates, u, mu, stage_p
+                spec.H_p, (d.n_p, N) + batch, taus, states, costates, u, mu, stage_p, s
             )
             acc = np.add.accumulate(seq, axis=1)[:, N]
         out[pos:] = acc

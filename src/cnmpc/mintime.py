@@ -80,18 +80,23 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     are kept unscaled, which is the numerically preferable variant.  The
     callbacks follow the batch contract of :class:`OcpSpec`: ``x[0]`` is the
     first state component over the trailing batch axes, and the trigonometry
-    is elementwise numpy.
+    is elementwise numpy, evaluated once per residual in ``stage_terms``.
     """
     dims = problem_dims(n_steps)
     # Batch-independent partials, built once; the engine only reads them.
     eye, ones_p = _frozen(np.eye(2)), _frozen(np.ones(1))
 
-    def f(tau, x, u, p):
+    def stage_terms(tau, u, p):
+        # cosine and sine of every stage heading, computed once per residual
+        # and read by f, H_x, H_u and H_p as s[0] and s[1]
+        return np.array([np.cos(u[0]), np.sin(u[0])])
+
+    def f(tau, x, u, p, s):
         # horizon state rate in normalized time; the slack does not enter
         speed = p[0] * (c.A * x[0] + c.B)
-        return np.array([speed * np.cos(u[0]), speed * np.sin(u[0])])
+        return speed * s
 
-    def C(tau, x, u, p):
+    def C(tau, x, u, p, s):
         # Circle form of the heading band; zero keeps u within the band.  The
         # squares use the C library's pow, as ``**`` does on a float scalar;
         # ``**`` on an array multiplies instead, which rounds differently for
@@ -113,27 +118,25 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
     def phi_p(tau, x, p):
         return ones_p
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         speed = c.A * x[0] + c.B
         return np.array(
             [
-                p[0] * speed * (-np.sin(u[0]) * lam[0] + np.cos(u[0]) * lam[1])
+                p[0] * speed * (-s[1] * lam[0] + s[0] * lam[1])
                 + 2.0 * (u[0] - c.c_u) * mu[0],
                 2.0 * mu[0] * u[1] - c.w_d * p[0],
             ]
         )
 
-    def H_x(tau, x, lam, u, mu, p):
-        row = p[0] * c.A * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1])
+    def H_x(tau, x, lam, u, mu, p, s):
+        row = p[0] * c.A * (s[0] * lam[0] + s[1] * lam[1])
         out = np.zeros((2,) + row.shape)
         out[0] = row
         return out
 
-    def H_p(tau, x, lam, u, mu, p):
+    def H_p(tau, x, lam, u, mu, p, s):
         speed = c.A * x[0] + c.B
-        return np.array(
-            [speed * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1]) - c.w_d * u[1]]
-        )
+        return np.array([speed * (s[0] * lam[0] + s[1] * lam[1]) - c.w_d * u[1]])
 
     return OcpSpec(
         dims=dims,
@@ -146,6 +149,7 @@ def problem_spec(c: MinTimeConstants, n_steps: int) -> OcpSpec:
         H_u=H_u,
         H_x=H_x,
         H_p=H_p,
+        stage_terms=stage_terms,
     )
 
 

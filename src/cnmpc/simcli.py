@@ -390,7 +390,6 @@ def _config_from_sources(
         kwargs.update(PRESETS[case])
         kwargs["case_preset"] = case
 
-    const_kwargs: dict = {}
     given = [(f"config key {key}", key, value) for key, value in file_values.items()]
     given += [
         (f"--{key}", key, getattr(args, key))
@@ -400,20 +399,23 @@ def _config_from_sources(
     for origin, key, value in given:
         if key == "case":
             continue
-        if key in _SETTINGS:
-            name, conv, _ = _SETTINGS[key]
-            try:
-                kwargs[name] = conv(value)
-            except ValueError as exc:
-                raise ValueError(f"{origin}: {exc}") from exc
-        elif key in _CONFIG_CONSTANT_KEYS:
-            const_kwargs[_CONFIG_CONSTANT_KEYS[key]] = float(value)
-        else:
+        if key not in _SETTINGS and key not in _CONFIG_CONSTANT_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        # Every constant check is on one field, so a constant is checked as
+        # it is read and its error names the key that set it.
+        try:
+            if key in _SETTINGS:
+                name, conv, _ = _SETTINGS[key]
+                kwargs[name] = conv(value)
+            else:
+                field_value = {_CONFIG_CONSTANT_KEYS[key]: float(value)}
+                kwargs["constants"] = replace(
+                    kwargs.get("constants", MinTimeConstants()), **field_value
+                )
+        except ValueError as exc:
+            raise ValueError(f"{origin}: {exc}") from exc
     if args.out is not None:
         kwargs["out_path"] = Path(args.out)
-    if const_kwargs:
-        kwargs["constants"] = replace(MinTimeConstants(), **const_kwargs)
     return SimConfig(**kwargs)
 
 
@@ -439,8 +441,9 @@ def parse_cli(argv: list[str]) -> SimConfig:
     """Build a validated configuration from CLI arguments.
 
     Usage problems (unknown flags, out-of-range or non-finite values, missing
-    inputs, an ``--out`` path in a directory that does not exist) exit with
-    status 2 through the argparse error channel, before any run.
+    inputs, an ``--out`` path that is a directory or lies in a directory
+    that does not exist) exit with status 2 through the argparse error
+    channel, before any run.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -450,6 +453,8 @@ def parse_cli(argv: list[str]) -> SimConfig:
         file_values = load_config_file(args.config) if args.config is not None else {}
         cfg = _config_from_sources(file_values, args)
         cfg.validate()
+        if cfg.out_path is not None and cfg.out_path.is_dir():
+            raise ValueError(f"--out: {cfg.out_path} is a directory")
         if cfg.out_path is not None and not cfg.out_path.parent.is_dir():
             raise ValueError(f"--out: directory {cfg.out_path.parent} does not exist")
     except (ValueError, TypeError) as exc:

@@ -1,5 +1,6 @@
 """Shared test fixtures-in-code: toy problems and independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,20 +17,24 @@ from cnmpc.continuation import (
     optimality_residual,
 )
 from cnmpc.krylov import KrylovResult, SingularMatrixError, dense_solve
+from cnmpc.mintime import problem_spec
 
 
 def forward_states(spec, x0, U):
     """States of one decision vector, shape (N+1, n_x): the kernel's
     forward recursion on its own."""
     u, _, _, p = continuation._blocks(spec.dims, U.data)
-    return continuation._forward(spec, x0, u, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return continuation._forward(spec, x0, u, p, all_stage_terms(spec, u, p))
 
 
 def backward_costates(spec, states, U):
     """Costates of one decision vector along ``states``, shape (N+1, n_x):
     the kernel's backward recursion on its own."""
     u, mu, nu, p = continuation._blocks(spec.dims, U.data)
-    return continuation._backward(spec, np.asarray(states, dtype=float), u, mu, nu, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = all_stage_terms(spec, u, p)
+        return continuation._backward(spec, np.asarray(states, dtype=float), u, mu, nu, p, s)
 
 
 def _stage_call(callback, shape, *args):
@@ -42,7 +47,17 @@ def _stage_call(callback, shape, *args):
     return out
 
 
-def per_stage_forward(spec, x0, u, p):
+def all_stage_terms(spec, u, p):
+    """Independent oracle: ``spec.stage_terms`` at the all-stage arguments,
+    converted to float, or an empty (0, N, *batch) array without it."""
+    if spec.stage_terms is None:
+        return np.empty((0,) + u.shape[1:])
+    N = spec.dims.N
+    taus = (1.0 / N) * np.arange(N).reshape((N,) + (1,) * (u.ndim - 2))
+    return np.asarray(spec.stage_terms(taus, u, p[:, None]), dtype=float)
+
+
+def per_stage_forward(spec, x0, u, p, s):
     """Independent oracle: the explicit Euler states, shape (N+1, n_x, *batch),
     with the callback value converted and the states checked after every
     stage, raising at the first non-finite one."""
@@ -53,14 +68,14 @@ def per_stage_forward(spec, x0, u, p):
     xs[0] = np.asarray(x0, dtype=float).reshape((d.n_x,) + (1,) * (len(shape) - 1))
     x = xs[0]
     for i in range(d.N):
-        x = x + dtau * _stage_call(spec.f, shape, i * dtau, x, u[:, i], p)
+        x = x + dtau * _stage_call(spec.f, shape, i * dtau, x, u[:, i], p, s[:, i])
         if np.count_nonzero(np.isfinite(x)) != x.size:
             raise TrajectoryDivergedError("state", i + 1)
         xs[i + 1] = x
     return xs
 
 
-def per_stage_backward(spec, xs, u, mu, nu, p):
+def per_stage_backward(spec, xs, u, mu, nu, p, s):
     """Independent oracle: the costates from the terminal condition, shape
     (N+1, n_x, *batch), checked after every stage from N-1 down to 0."""
     d = spec.dims
@@ -77,7 +92,7 @@ def per_stage_backward(spec, xs, u, mu, nu, p):
     for i in range(d.N - 1, -1, -1):
         if spec.H_x is not None:
             lam_i = lam_i + dtau * _stage_call(
-                spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p
+                spec.H_x, shape, i * dtau, xs[i], lam_i, u[:, i], mu[:, i], p, s[:, i]
             )
         if np.count_nonzero(np.isfinite(lam_i)) != lam_i.size:
             raise TrajectoryDivergedError("costate", i)
@@ -92,7 +107,9 @@ def recursion_failure(spec, Z, x0):
     u, mu, nu, p = continuation._blocks(spec.dims, np.asarray(Z, dtype=float))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            per_stage_backward(spec, per_stage_forward(spec, x0, u, p), u, mu, nu, p)
+            s = all_stage_terms(spec, u, p)
+            xs = per_stage_forward(spec, x0, u, p, s)
+            per_stage_backward(spec, xs, u, mu, nu, p, s)
     except TrajectoryDivergedError as exc:
         return exc.kind, exc.step
     return None
@@ -106,13 +123,13 @@ def quadratic_spec(n_steps=3, a=0.5, b=1.0, q=1.0, r=1.0, s=2.0):
     """
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=n_steps)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.array([a * x[0] + b * u[0]])
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return np.array([r * u[0] + b * lam[0]])
 
-    def H_x(tau, x, lam, u, mu, p):
+    def H_x(tau, x, lam, u, mu, p, s):
         return np.array([q * x[0] + a * lam[0]])
 
     def phi_x(tau, x, p):
@@ -131,10 +148,10 @@ def linear_spec(M):
     N = M.shape[0]
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=N)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.zeros_like(x)
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return (N * np.tensordot(M, u[0], axes=1))[None]
 
     return OcpSpec(dims=dims, f=f, H_u=H_u)
@@ -152,15 +169,15 @@ def fragile_spec(blow_up, n_steps=3, u_base=0.3):
     f, H_u = spec.f, spec.H_u
     if blow_up == "state":
 
-        def f_fragile(tau, x, u, p):
+        def f_fragile(tau, x, u, p, s):
             # zero at u_base; overflows for any other control
-            return f(tau, x, u, p) + (u[0] - u_base) * 1e300 * 1e300
+            return f(tau, x, u, p, s) + (u[0] - u_base) * 1e300 * 1e300
 
         spec.f = f_fragile
     else:
 
-        def H_u_fragile(tau, x, lam, u, mu, p):
-            return H_u(tau, x, lam, u, mu, p) + np.where(u[0] == u_base, 0.0, np.nan)
+        def H_u_fragile(tau, x, lam, u, mu, p, s):
+            return H_u(tau, x, lam, u, mu, p, s) + np.where(u[0] == u_base, 0.0, np.nan)
 
         spec.H_u = H_u_fragile
     return spec
@@ -178,14 +195,14 @@ def threshold_spec(blow_up, limit, n_steps=3):
     f, H_u = spec.f, spec.H_u
     if blow_up == "state":
 
-        def f_threshold(tau, x, u, p):
-            return f(tau, x, u, p) + np.where(np.abs(u[0]) > limit, np.inf, 0.0)
+        def f_threshold(tau, x, u, p, s):
+            return f(tau, x, u, p, s) + np.where(np.abs(u[0]) > limit, np.inf, 0.0)
 
         spec.f = f_threshold
     else:
 
-        def H_u_threshold(tau, x, lam, u, mu, p):
-            return H_u(tau, x, lam, u, mu, p) + np.where(np.abs(u[0]) > limit, np.nan, 0.0)
+        def H_u_threshold(tau, x, lam, u, mu, p, s):
+            return H_u(tau, x, lam, u, mu, p, s) + np.where(np.abs(u[0]) > limit, np.nan, 0.0)
 
         spec.H_u = H_u_threshold
     return spec
@@ -237,6 +254,42 @@ def sequential_initial_solve(
         if not improved:
             break
     return InitialSolveResult(U=U, residual_norm=norm, newton_iterations=iterations)
+
+
+def own_trig_spec(c, n_steps):
+    """Independent oracle: the minimum-time problem of ``problem_spec`` with
+    no ``stage_terms``, whose ``f``, ``H_x``, ``H_u`` and ``H_p`` each take
+    the cosine and sine of the heading themselves and ignore ``s``."""
+
+    def f(tau, x, u, p, s):
+        speed = p[0] * (c.A * x[0] + c.B)
+        return np.array([speed * np.cos(u[0]), speed * np.sin(u[0])])
+
+    def H_u(tau, x, lam, u, mu, p, s):
+        speed = c.A * x[0] + c.B
+        return np.array(
+            [
+                p[0] * speed * (-np.sin(u[0]) * lam[0] + np.cos(u[0]) * lam[1])
+                + 2.0 * (u[0] - c.c_u) * mu[0],
+                2.0 * mu[0] * u[1] - c.w_d * p[0],
+            ]
+        )
+
+    def H_x(tau, x, lam, u, mu, p, s):
+        row = p[0] * c.A * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1])
+        out = np.zeros((2,) + row.shape)
+        out[0] = row
+        return out
+
+    def H_p(tau, x, lam, u, mu, p, s):
+        speed = c.A * x[0] + c.B
+        return np.array(
+            [speed * (np.cos(u[0]) * lam[0] + np.sin(u[0]) * lam[1]) - c.w_d * u[1]]
+        )
+
+    return dataclasses.replace(
+        problem_spec(c, n_steps), f=f, H_u=H_u, H_x=H_x, H_p=H_p, stage_terms=None
+    )
 
 
 def random_decision(dims, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -29,6 +30,7 @@ from helpers import (
     forward_states,
     fragile_spec,
     linear_spec,
+    own_trig_spec,
     quadratic_spec,
     random_decision,
     recursion_failure,
@@ -97,7 +99,7 @@ def test_forward_states_single_step_unit_horizon(consts):
 def test_forward_states_zero_dynamics_is_constant():
     spec = quadratic_spec()
 
-    def f_zero(tau, x, u, p):
+    def f_zero(tau, x, u, p, s):
         return np.zeros(1)
 
     spec.f = f_zero
@@ -128,7 +130,7 @@ def test_forward_states_matches_scalar_recursion_oracle(consts):
 def test_forward_states_divergence_reports_step():
     spec = quadratic_spec()
 
-    def f_blowup(tau, x, u, p):
+    def f_blowup(tau, x, u, p, s):
         return np.array([x[0] ** 2 * 1e200 + 1e200])
 
     spec.f = f_blowup
@@ -241,7 +243,7 @@ def test_block_residual_columns_match_single_evaluations(N, K, seed):
 def test_callback_with_wrong_shape_is_rejected():
     spec = quadratic_spec()
 
-    def f_wrong(tau, x, u, p):
+    def f_wrong(tau, x, u, p, s):
         return np.zeros(2)  # the state has one component
 
     spec.f = f_wrong
@@ -267,14 +269,132 @@ def test_callback_with_wrong_shape_at_a_late_stage_is_rejected(callback, batch):
         block_residual(spec, Z, np.array([1.0]))
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    N=st.sampled_from([1, 10, 40]),
+    K=st.sampled_from([None, 21, "m + 1"]),
+    seed=st.integers(min_value=0, max_value=2**20),
+)
+@example(N=40, K="m + 1", seed=0)
+def test_shared_stage_terms_equal_callbacks_with_their_own_trigonometry(N, K, seed):
+    # the heading's cosine and sine, computed once in stage_terms, give the
+    # residual of callbacks that each compute them, bit for bit
+    c = MinTimeConstants()
+    spec = problem_spec(c, N)
+    m = spec.dims.decision_size
+    width = {None: 1, 21: 21, "m + 1": m + 1}[K]
+    Z = np.column_stack([random_decision(spec.dims, seed=seed + k).data for k in range(width)])
+    if K is None:
+        Z = Z[:, 0]
+    x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2)
+    got = block_residual(spec, Z, x0)
+    want = block_residual(own_trig_spec(c, N), Z, x0)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("K", [None, 4])
+def test_stage_terms_run_once_and_each_stage_gets_its_slice(K):
+    c = MinTimeConstants()
+    N = 6
+    spec = problem_spec(c, N)
+    terms, seen = [], {"f": [], "H_x": [], "H_u": [], "C": [], "H_p": []}
+
+    def spy_terms(tau, u, p):
+        terms.append(spec.stage_terms(tau, u, p))
+        return terms[-1]
+
+    def spy(name):
+        callback = getattr(spec, name)
+
+        def wrapped(tau, *args):
+            seen[name].append((tau, args[-1]))
+            return callback(tau, *args)
+
+        return wrapped
+
+    spied = dataclasses.replace(
+        spec, stage_terms=spy_terms, **{name: spy(name) for name in seen}
+    )
+    cols = [random_decision(spec.dims, seed=k).data for k in range(K or 1)]
+    Z = cols[0] if K is None else np.column_stack(cols)
+    got = block_residual(spied, Z, c.start)
+    assert got.tobytes() == block_residual(spec, Z, c.start).tobytes()
+    assert len(terms) == 1
+    s = terms[0]
+    assert s.shape == (2, N) + Z.shape[1:]
+    # f in stage order, H_x in backward order, each with its own stage's slice
+    for name, order in (("f", range(N)), ("H_x", range(N - 1, -1, -1))):
+        assert [round(tau * N) for tau, _ in seen[name]] == list(order)
+        for tau, s_i in seen[name]:
+            i = round(tau * N)
+            assert np.shares_memory(s_i, s)
+            assert s_i.tobytes() == s[:, i].tobytes()
+    # the all-stage callbacks get the whole array
+    for name in ("H_u", "C", "H_p"):
+        assert len(seen[name]) == 1 and seen[name][0][1] is s
+
+
+def test_stage_terms_run_once_per_block_residual_in_a_cold_start(consts):
+    spec = problem_spec(consts, 10)
+    counts = {"stage_terms": 0, "block_residual": 0}
+    stage_terms, original = spec.stage_terms, continuation.block_residual
+
+    def counted_terms(tau, u, p):
+        counts["stage_terms"] += 1
+        return stage_terms(tau, u, p)
+
+    def counted_residual(spec_, Z, x, t=0.0):
+        counts["block_residual"] += 1
+        return original(spec_, Z, x, t)
+
+    spied = dataclasses.replace(spec, stage_terms=counted_terms)
+    with mock.patch.object(continuation, "block_residual", counted_residual):
+        initial_solve(spied, consts.start, 0.0, initial_guess(consts, 10))
+    assert counts["block_residual"] > 1
+    assert counts["stage_terms"] == counts["block_residual"]
+
+
+@pytest.mark.parametrize("K", [None, 3])
+def test_spec_without_stage_terms_gets_empty_slices(K):
+    spec = quadratic_spec()
+    shapes = []
+    f = spec.f
+
+    def spy(tau, x, u, p, s):
+        shapes.append(s.shape)
+        return f(tau, x, u, p, s)
+
+    spec.f = spy
+    Z = np.full(3, 0.3) if K is None else np.full((3, K), 0.3)
+    block_residual(spec, Z, np.array([1.0]))
+    assert shapes == [(0,) + Z.shape[1:]] * spec.dims.N
+
+
+def test_stage_terms_with_wrong_trailing_shape_is_rejected(consts):
+    spec = problem_spec(consts, 4)
+    stage_terms = spec.stage_terms
+    spec.stage_terms = lambda tau, u, p: stage_terms(tau, u, p)[:, :-1]
+    with pytest.raises(ValueError, match="stage_terms returned shape"):
+        optimality_residual(spec, initial_guess(consts, 4), consts.start)
+
+
+def test_stage_terms_returning_a_list_is_accepted(consts):
+    spec = problem_spec(consts, 4)
+    converted = problem_spec(consts, 4)
+    converted.stage_terms = lambda tau, u, p: spec.stage_terms(tau, u, p).tolist()
+    U = initial_guess(consts, 4)
+    want = optimality_residual(spec, U, consts.start)
+    assert optimality_residual(converted, U, consts.start).tobytes() == want.tobytes()
+
+
 def test_callback_returning_a_list_or_an_int_array_is_accepted():
     # converted values give the residual of float64 arrays, bit for bit
     reference = quadratic_spec()
     reference.phi_x = lambda tau, x, p: np.ones(1)
     converted = quadratic_spec()
     f, H_x = converted.f, converted.H_x
-    converted.f = lambda tau, x, u, p: list(f(tau, x, u, p))
-    converted.H_x = lambda tau, x, lam, u, mu, p: H_x(tau, x, lam, u, mu, p).tolist()
+    converted.f = lambda tau, x, u, p, s: list(f(tau, x, u, p, s))
+    converted.H_x = lambda tau, x, lam, u, mu, p, s: H_x(tau, x, lam, u, mu, p, s).tolist()
     converted.phi_x = lambda tau, x, p: np.ones(1, dtype=int)
     rng = np.random.default_rng(8)
     for Z in (rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, (3, 4))):
@@ -351,9 +471,9 @@ def test_broken_specs_name_the_oracles_stage_after_running_every_stage(make, Z):
     calls = []
     f = spec.f
 
-    def counted(tau, x, u, p):
+    def counted(tau, x, u, p, s):
         calls.append(tau)
-        return f(tau, x, u, p)
+        return f(tau, x, u, p, s)
 
     spec.f = counted
     want = recursion_failure(spec, Z, np.array([0.5]))
@@ -510,8 +630,8 @@ def test_assemble_jacobian_names_the_diverging_column(N, data):
     spec = quadratic_spec(N)
     f = spec.f
 
-    def f_threshold(tau, x, u, p):
-        return f(tau, x, u, p) + np.where(u[0] > 1.0, np.inf, 0.0)
+    def f_threshold(tau, x, u, p, s):
+        return f(tau, x, u, p, s) + np.where(u[0] > 1.0, np.inf, 0.0)
 
     spec.f = f_threshold
     z = np.full(N, -1.0)
@@ -661,10 +781,10 @@ def test_initial_solve_mintime_documented_guess(consts, spec10):
 def test_initial_solve_shift_retry_rescues_singular_jacobian():
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=1, N=1)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.array([u[0]])
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return np.array([u[0] + 1.0])
 
     # no H_p / phi_p: the parameter row is identically zero, so the plain
@@ -678,10 +798,10 @@ def test_initial_solve_shift_retry_rescues_singular_jacobian():
 def test_initial_solve_persistent_singularity_raises_with_best():
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=1)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.zeros(1)
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return np.ones(1)  # residual constant: Jacobian identically zero
 
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
@@ -854,10 +974,10 @@ def test_initial_solve_non_finite_shift_raises_cold_start_error():
     # norm, and with it the diagonal shift, overflows
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=1, N=1)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.array([u[0]])
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return np.array([1e300 * (u[0] + 1.0)])
 
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)

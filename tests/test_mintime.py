@@ -11,13 +11,16 @@ from helpers import backward_costates, forward_states, random_decision, residual
 
 
 def dynamics(c, x, u, p):
-    """The horizon dynamics callback ``f`` of ``problem_spec``."""
-    return problem_spec(c, 1).f(0.0, x, u, p)
+    """The horizon dynamics callback ``f`` of ``problem_spec``, given the
+    stage terms of its heading."""
+    spec = problem_spec(c, 1)
+    return spec.f(0.0, x, u, p, spec.stage_terms(0.0, u, p))
 
 
 def constraint_residual(c, u):
     """The band constraint callback ``C`` of ``problem_spec``."""
-    return problem_spec(c, 1).C(0.0, None, u, None)
+    spec = problem_spec(c, 1)
+    return spec.C(0.0, None, u, None, spec.stage_terms(0.0, u, None))
 
 
 def terminal_residual(c, x):

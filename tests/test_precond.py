@@ -110,10 +110,10 @@ def test_rebuild_residual_and_columns_equal_single_evaluations(N, seed):
 def test_rebuild_singular_keeps_previous_factors():
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=1)
 
-    def f(tau, x, u, p):
+    def f(tau, x, u, p, s):
         return np.zeros(1)
 
-    def H_u(tau, x, lam, u, mu, p):
+    def H_u(tau, x, lam, u, mu, p, s):
         return np.ones(1)  # constant residual: identically zero Jacobian
 
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
@@ -202,8 +202,8 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
             return original(spec, U, x, t, step)
         f = spec.f
 
-        def f_broken(tau, x_, u, p):
-            out = np.array(f(tau, x_, u, p), dtype=float)
+        def f_broken(tau, x_, u, p, s):
+            out = np.array(f(tau, x_, u, p, s), dtype=float)
             out[:, 1:] = np.inf  # column 0 is the point itself
             return out
 

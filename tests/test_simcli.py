@@ -194,14 +194,27 @@ def test_config_file_key_sets_its_constant(tmp_path, key):
     assert cfg.constants == dataclasses.replace(MinTimeConstants(), **{CONSTANT_KEYS[key]: 0.123})
 
 
-@pytest.mark.parametrize("setting", ["tp = inf", "stop_radius = nan", "cu = nan", "x0 = inf"])
-def test_config_file_non_finite_value_is_usage_error(tmp_path, setting):
-    # a non-finite setting or constant is rejected before the cold start
+# a bad setting or constant in a config file -> the usage error it gives
+_BAD_SETTINGS = {
+    "tp = inf": "tp must be positive and finite, got inf",
+    "stop_radius = nan": "stop_radius must be positive and finite, got nan",
+    "cu = nan": "config key cu: c_u must be finite, got nan",
+    "x0 = inf": "config key x0: x0 must be finite, got inf",
+    "cu = abc": "config key cu: could not convert string to float: 'abc'",
+    "ru = 0": "config key ru: band radius r_u must be positive",
+}
+
+
+@pytest.mark.parametrize("setting", _BAD_SETTINGS)
+def test_config_file_non_finite_value_is_usage_error(tmp_path, capsys, setting):
+    # a non-finite or invalid setting or constant is rejected before the
+    # cold start, and a bad constant names the key that set it
     path = tmp_path / "run.cfg"
     path.write_text(f"case = 2\n{setting}\n")
     with pytest.raises(SystemExit) as exc:
         parse_cli(["--config", str(path)])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: {_BAD_SETTINGS[setting]}")
 
 
 def test_config_file_unknown_key_or_malformed(tmp_path):
@@ -270,6 +283,17 @@ def test_main_rejects_out_in_missing_directory_before_the_run(tmp_path, monkeypa
         main(["--case", "1", "--out", str(tmp_path / "missing" / "x.csv")])
     assert exc.value.code == 2
     assert "does not exist" in capsys.readouterr().err
+
+
+def test_main_rejects_out_naming_a_directory_before_the_run(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the simulation")
+
+    monkeypatch.setattr(simcli, "run_simulation", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["--case", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"--out: {tmp_path} is a directory" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
