@@ -541,20 +541,22 @@ def continuation_step(
     solver: str,
     precond: Optional[Preconditioner] = None,
     base: Optional[np.ndarray] = None,
-) -> tuple[DecisionVector, StepDiagnostics]:
+) -> tuple[DecisionVector, StepDiagnostics, Optional[tuple[np.ndarray, np.ndarray]]]:
     """Advance the tracked solution U by one sampling period.
 
     Solves a(W) = -F/h for the difference operator a at (U, x, t), with the
     difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
     ("gmres" or "minres") with at most ``k_max`` iterations to the relative
-    tolerance ``tol``, and returns the updated vector U + h*W with the step's
-    diagnostics.  ``precond`` None means no preconditioner.  ``base`` is F at
-    (U, x, t) when the caller already has it; otherwise the step evaluates
-    it, and a point whose own trajectory diverges raises
-    :class:`TrajectoryDivergedError`.  An unknown solver raises ValueError
-    before any evaluation.  A Krylov direction whose trajectory diverges
-    yields the zero update, flagged ``degraded``, keeping the control loop
-    alive.  Any other error, such as a preconditioner that returns the wrong
+    tolerance ``tol``, and returns the updated vector U + h*W, the step's
+    diagnostics and the solve's secant pairs ``(S, Y)`` with ``a(S) = Y``
+    column by column (:attr:`~cnmpc.krylov.KrylovResult.pairs`; None for
+    MINRES, a zero residual or a degraded step).  ``precond`` None means no
+    preconditioner.  ``base`` is F at (U, x, t) when the caller already has
+    it; otherwise the step evaluates it, and a point whose own trajectory
+    diverges raises :class:`TrajectoryDivergedError`.  An unknown solver
+    raises ValueError before any evaluation.  A Krylov direction whose
+    trajectory diverges yields the zero update, flagged ``degraded``,
+    keeping the control loop alive.  Any other error, such as a preconditioner that returns the wrong
     shape or that MINRES rejects as indefinite, is a bug and propagates.
     """
     if solver not in ("gmres", "minres"):
@@ -573,8 +575,10 @@ def continuation_step(
     if result is None:
         delta = np.zeros(op.dim)
         krylov_residual, iterations, converged, breakdown = math.inf, 0, False, True
+        pairs = None
     else:
         delta = fd_step * result.x
+        pairs = result.pairs
         krylov_residual = result.relative_residual
         iterations, converged, breakdown = result.iterations, result.converged, result.breakdown
     diag = StepDiagnostics(
@@ -585,7 +589,7 @@ def continuation_step(
         breakdown=breakdown,
         degraded=result is None,
     )
-    return DecisionVector(U.dims, U.data + delta), diag
+    return DecisionVector(U.dims, U.data + delta), diag, pairs
 
 
 class InitialSolveResult(NamedTuple):

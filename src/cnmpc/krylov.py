@@ -56,7 +56,10 @@ class KrylovResult:
 
     ``residual_norm`` is the preconditioned residual estimate at exit and
     ``initial_residual_norm`` the preconditioned norm of the right-hand
-    side; their ratio is :attr:`relative_residual`.
+    side; their ratio is :attr:`relative_residual`.  ``pairs`` is
+    ``(S, Y)``, the (m, k) Krylov basis of a GMRES solve of k iterations and
+    the operator's products ``Y[:, j] = op.apply(S[:, j])``; None for MINRES,
+    which keeps no basis, and for a zero right-hand side.
     """
 
     x: np.ndarray
@@ -65,6 +68,7 @@ class KrylovResult:
     converged: bool
     breakdown: bool
     initial_residual_norm: float
+    pairs: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def relative_residual(self) -> float:
@@ -219,6 +223,10 @@ def gmres(
     vanishing Arnoldi normalization is flagged as a (lucky) breakdown: the
     solution is exact in the current subspace and is returned with
     ``converged=True``.
+
+    Each product ``op.apply(v_j)`` is stored in one contiguous row, and that
+    row is what the preconditioner receives; the basis and the products are
+    returned as ``pairs`` for a secant update of the preconditioner.
     """
     T, k_max, _, z = _start(op, precond, b, k_max, tol)
     beta = float(np.linalg.norm(z))
@@ -226,6 +234,7 @@ def gmres(
         return _solved(op.dim)
 
     V = np.zeros((op.dim, k_max + 1))
+    AV = np.empty((k_max, op.dim))
     V[:, 0] = z / beta
     lsq = _HessenbergLsq(beta)
     breakdown = False
@@ -233,7 +242,8 @@ def gmres(
     bd_tol = _EPS * beta
     k = 0
     while k < k_max:
-        w = np.asarray(T(op.apply(V[:, k])), dtype=float)
+        AV[k] = op.apply(V[:, k])
+        w = np.asarray(T(AV[k]), dtype=float)
         hk = V[:, : k + 1].T @ w  # classical Gram-Schmidt, single pass
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
@@ -256,6 +266,7 @@ def gmres(
         converged=converged,
         breakdown=breakdown,
         initial_residual_norm=beta,
+        pairs=(V[:, :k], AV[:k].T),
     )
 
 

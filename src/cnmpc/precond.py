@@ -2,8 +2,10 @@
 
 The dense difference Jacobian is assembled, together with the step's
 residual, in one block residual at configured time instances and inverted
-once by LAPACK's pivoted LU; every sampling point until the next rebuild
-applies that inverse with one matvec.
+once by LAPACK's pivoted LU.  Every sampling point applies the current
+inverse with one matvec, and between rebuilds :func:`update` keeps that
+inverse current with a block good-Broyden update from the secant pairs of
+the step's GMRES solve, which costs no residual evaluation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ __all__ = [
     "should_rebuild",
     "rebuild",
     "apply",
+    "update",
 ]
+
+# An update whose Gram matrix S'MY has a 1-norm condition number at least
+# this large is skipped: its inverse would amplify rounding into M.
+_MAX_GRAM_COND = 1e10
 
 
 class StalePreconditionerWarning(RuntimeWarning):
@@ -37,12 +44,17 @@ class StalePreconditionerWarning(RuntimeWarning):
 
 @dataclass
 class PrecondState:
-    """Current inverse from :func:`~cnmpc.krylov.lu_factor` plus bookkeeping;
-    replaced wholesale at rebuilds.
+    """Current inverse plus bookkeeping.
 
-    ``residual`` is F at the point of the rebuild that returned this state
-    (None before the first rebuild and after a diverging assembly block);
-    the rebuild step uses it as its base residual.
+    ``inverse`` is the :func:`~cnmpc.krylov.lu_factor` inverse of the last
+    successful rebuild, as :func:`update` has carried it forward since.
+    Neither function changes an inverse in place: each returns a new state
+    with a new array, so a state's inverse never changes after it is made.
+    ``built_at`` is the time of the last successful rebuild and ``stale``
+    marks factors kept over a failed one.  ``residual`` is F at the point of
+    the rebuild that returned this state (None before the first rebuild,
+    after a diverging assembly block and after an update); the rebuild step
+    uses it as its base residual.
     """
 
     inverse: Optional[np.ndarray] = None
@@ -115,3 +127,54 @@ def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:
     """Matvec with the stored inverse, which must be built: with no inverse
     the step runs without a preconditioner."""
     return lu_solve(state.inverse, r)
+
+
+def update(state: PrecondState, S: np.ndarray, Y: np.ndarray) -> PrecondState:
+    """The state after the block good-Broyden update of its inverse M from
+    the secant pairs ``(S, Y)``, k columns each (Schnabel, "Quasi-Newton
+    methods using multiple secant equations", 1983)::
+
+        M + (S - M Y) (S' M Y)^-1 S' M
+
+    The updated inverse maps every column of Y to the same column of S and
+    agrees with M on the vectors orthogonal to the columns of M'S.  The
+    result holds a new array, ``residual`` None and the bookkeeping of
+    ``state``.  When the k-by-k Gram matrix ``S' M Y`` is singular or its
+    1-norm condition number is at least 1e10 (or not finite), the update is
+    skipped and ``state`` itself is returned.  Costs three (m, m) by (m, k)
+    products and one k-by-k inverse.
+    """
+    # np.dot, not @: for these shapes numpy's matmul is slower, twice as
+    # slow for the (m, 1) by (1, m) outer product of a single pair
+    M = state.inverse
+    MY = np.dot(M, Y)
+    StM = np.dot(S.T, M)
+    gram_inv = _gram_inverse(np.dot(StM, Y))
+    if gram_inv is None:
+        return state
+    inverse = np.dot(S - MY, np.dot(gram_inv, StM))
+    inverse += M
+    return PrecondState(inverse=inverse, built_at=state.built_at, stale=state.stale)
+
+
+def _gram_inverse(gram: np.ndarray) -> Optional[np.ndarray]:
+    """Inverse of a Gram matrix; None when it is singular or its 1-norm
+    condition number is at least ``_MAX_GRAM_COND`` or not finite.
+
+    A 1-by-1 matrix, the one pair of a step under ``k_max = 1``, is inverted
+    as a Python float, whose condition number is 1 unless the reciprocal
+    overflows: in the loop, numpy's inverse and norms cost as much as the
+    rest of the update.
+    """
+    if gram.shape == (1, 1):
+        g = float(gram[0, 0])
+        if g == 0.0 or not abs(g) * abs(1.0 / g) < _MAX_GRAM_COND:
+            return None
+        return np.array([[1.0 / g]])
+    try:
+        gram_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # the 1-norm is the largest column sum of magnitudes
+    cond = np.abs(gram).sum(axis=0).max() * np.abs(gram_inv).sum(axis=0).max()
+    return gram_inv if cond < _MAX_GRAM_COND else None

@@ -151,7 +151,8 @@ def run_simulation(
     """Cold start at t0, then the receding-horizon loop.
 
     Each pass rebuilds the preconditioner when due, advances the tracked
-    solution by one Krylov step, records diagnostics, and propagates the
+    solution by one Krylov step, updates the preconditioner from the
+    step's secant pairs, records diagnostics, and propagates the
     state with a model Euler step (or the ``measure`` hook when supplied, for
     externally sourced states).  The run stops at target arrival: either the
     distance to the goal falls below ``stop_radius`` or the time-to-go drops
@@ -198,11 +199,14 @@ def run_simulation(
         rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
-        U, diag = continuation_step(
+        T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
+        U, diag, pairs = continuation_step(
             spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
-            precond=None if pstate.inverse is None else functools.partial(precond.apply, pstate),
-            base=pstate.residual if rebuilt else None,
+            precond=T, base=pstate.residual if rebuilt else None,
         )
+        if T is not None and pairs is not None:
+            # the products GMRES formed keep the inverse current
+            pstate = precond.update(pstate, *pairs)
         u_applied = U.u(0)
         records.append(
             StepRecord(
@@ -380,13 +384,16 @@ def _config_from_sources(
     file_values: dict[str, str], args: argparse.Namespace
 ) -> SimConfig:
     """Merge defaults < preset < config file < explicit flags."""
-    case: Optional[int] = args.case
+    case: Optional[int] = args.case  # the flag's choices are the presets
     if case is None and "case" in file_values:
-        case = int(file_values["case"])
+        try:
+            case = int(file_values["case"])
+            if case not in PRESETS:
+                raise ValueError(f"case must be one of {sorted(PRESETS)}, got {case}")
+        except ValueError as exc:
+            raise ValueError(f"config key case: {exc}") from exc
     kwargs: dict = {}
     if case is not None:
-        if case not in PRESETS:
-            raise ValueError(f"case must be one of {sorted(PRESETS)}, got {case}")
         kwargs.update(PRESETS[case])
         kwargs["case_preset"] = case
 

@@ -85,10 +85,10 @@ def test_bench_case_one_step(benchmark, consts, spec10):
             solver=cfg.solver,
         )
 
-    updated, diag = benchmark(step)
+    updated, diag, _ = benchmark(step)
     assert 1 <= diag.iterations <= 10
     assert not diag.degraded
-    again, _ = step()
+    again, _, _ = step()
     assert np.array_equal(again.data, updated.data)
 
 

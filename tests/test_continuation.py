@@ -517,7 +517,7 @@ def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
 def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
     U = initial_guess(consts, 10)
     with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
-        _, diag = continuation_step(spec10, U, consts.start, 0.0, **STEP)
+        _, diag, _ = continuation_step(spec10, U, consts.start, 0.0, **STEP)
     assert diag.norm_F == 12.5
     assert norm.call_count == 1
 
@@ -662,7 +662,8 @@ def test_continuation_step_zero_residual_is_identity():
     spec = quadratic_spec()
     x0 = np.array([1.0])
     stationary = initial_solve(spec, x0, 0.0, DecisionVector.zeros(spec.dims), tol_init=1e-13).U
-    U_next, diag = continuation_step(spec, stationary, x0, 0.0, **{**STEP, "k_max": 3, "tol": 1e-8})
+    settings = {**STEP, "k_max": 3, "tol": 1e-8}
+    U_next, diag, _ = continuation_step(spec, stationary, x0, 0.0, **settings)
     assert diag.norm_F <= 1e-12
     assert np.allclose(U_next.data, stationary.data, atol=1e-9)
     assert diag.iterations == 0 or diag.converged
@@ -674,7 +675,7 @@ def test_continuation_step_affine_newton_exact():
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
     A = assemble_jacobian(spec, U, x0, 0.0, 1e-6)[:, 1:]
     factors = lu_factor(A)
-    U_next, diag = continuation_step(
+    U_next, diag, _ = continuation_step(
         spec, U, x0, 0.0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
         precond=lambda r: lu_solve(factors, r),
     )
@@ -719,10 +720,13 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
 def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
     base = optimality_residual(spec10, U, consts.start, 0.0)
-    own, diag_own = continuation_step(spec10, U, consts.start, 0.0, **STEP)
-    given_base, diag_given = continuation_step(spec10, U, consts.start, 0.0, **STEP, base=base)
+    own, diag_own, pairs_own = continuation_step(spec10, U, consts.start, 0.0, **STEP)
+    given_base, diag_given, pairs_given = continuation_step(
+        spec10, U, consts.start, 0.0, **STEP, base=base
+    )
     assert np.array_equal(own.data, given_base.data)
     assert diag_own == diag_given
+    assert all(map(np.array_equal, pairs_own, pairs_given))
 
 
 def test_continuation_step_survives_diverging_krylov_direction():
@@ -730,16 +734,18 @@ def test_continuation_step_survives_diverging_krylov_direction():
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     with np.errstate(over="ignore"):
-        U_next, diag = continuation_step(spec, U, x0, 0.0, **{**STEP, "k_max": 3, "tol": 1e-8})
+        settings = {**STEP, "k_max": 3, "tol": 1e-8}
+        U_next, diag, pairs = continuation_step(spec, U, x0, 0.0, **settings)
     assert math.isfinite(diag.norm_F) and diag.norm_F > 0.0
     assert diag.breakdown and diag.degraded and not diag.converged
     assert diag.iterations == 0 and diag.krylov_residual == math.inf
     assert np.array_equal(U_next.data, U.data)  # best available update is zero
+    assert pairs is None  # a degraded step hands back no secant pairs
 
 
 def test_step_diagnostics_fields(consts, spec10):
     U = initial_guess(consts, 10)
-    U_next, diag = continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "k_max": 5})
+    U_next, diag, _ = continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "k_max": 5})
     assert U_next.dims == U.dims
     assert not np.array_equal(U_next.data, U.data)
     assert diag.iterations <= 5

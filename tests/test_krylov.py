@@ -376,6 +376,51 @@ def test_gmres_equals_numpy_scalar_oracle_bitwise(kind, m, k_fraction, tol, scal
     )
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    kind=st.sampled_from(["dense", "rank_one", "mintime"]),
+    m=st.integers(min_value=1, max_value=12),
+    k_fraction=st.floats(min_value=0.0, max_value=1.0),
+    scaled=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_gmres_pairs_are_its_basis_and_the_operator_products_bitwise(
+    kind, m, k_fraction, scaled, seed
+):
+    # each column of Y is the apply of the same column of S, bit for bit
+    op, b = _oracle_problem(kind, m, seed)
+    k_max = max(1, math.ceil(k_fraction * op.dim))
+    weights = np.linspace(1.0, 3.0, op.dim)
+    precond = (lambda r: r / weights) if scaled else None
+    res = gmres(op, precond, b, k_max=k_max, tol=1e-5)
+    S, Y = res.pairs
+    assert S.shape == Y.shape == (op.dim, res.iterations)
+    for j in range(res.iterations):
+        assert _bits(Y[:, j]) == _bits(op.apply(S[:, j])), j
+
+
+def test_gmres_preconditioner_receives_the_stored_product():
+    # the preconditioner is called with the row GMRES keeps, not a copy
+    seen = []
+
+    def precond(r):
+        seen.append(r)
+        return 2.0 * r
+
+    A = np.random.default_rng(5).standard_normal((6, 6)) + 6.0 * np.eye(6)
+    res = gmres(matrix_map(A), precond, np.ones(6), k_max=4, tol=0.0)
+    S, Y = res.pairs
+    assert [np.shares_memory(r, Y) for r in seen] == [False] + [True] * res.iterations
+    for j, r in enumerate(seen[1:]):
+        assert _bits(r) == _bits(Y[:, j])
+
+
+def test_solves_without_a_basis_return_no_pairs():
+    A = np.diag([1.0, 2.0, 3.0])
+    assert gmres(matrix_map(A), None, np.zeros(3)).pairs is None
+    assert minres(matrix_map(A), None, np.ones(3)).pairs is None
+
+
 # ---------------------------------------------------------------------------
 # LU factorization and direct solve
 #

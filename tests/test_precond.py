@@ -193,8 +193,9 @@ def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
 
 def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, preset_results):
     # the case-2 rebuild at t = 0.2 (step 10) meets a block whose difference
-    # columns diverge; the step runs on the previous inverse and evaluates
-    # the residual of the point, which equals the undisturbed run's
+    # columns diverge; the step runs on the inverse that step 9's update
+    # left and evaluates the residual of the point, which equals the
+    # undisturbed run's
     original = precond.assemble_jacobian
 
     def diverging_columns(spec, U, x, t, step):
@@ -216,8 +217,16 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
         used.append(state)
         return apply(state, r)
 
+    updated = []
+    update = precond.update
+
+    def spy_update(state, S, Y):
+        updated.append(update(state, S, Y))
+        return updated[-1]
+
     monkeypatch.setattr(precond, "assemble_jacobian", diverging_columns)
     monkeypatch.setattr(precond, "apply", spy_apply)
+    monkeypatch.setattr(precond, "update", spy_update)
     cfg = SimConfig(case_preset=2, **PRESETS[2])
     cfg.t_end = 0.3
     with pytest.warns(StalePreconditionerWarning, match="t=0.2 hit a failed Jacobian assembly"):
@@ -226,8 +235,10 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
     assert records[:10] == want[:10]
     assert records[10].rebuilt
     assert records[10].norm_F == want[10].norm_F
+    # a stale rebuild keeps the inverse that the previous step left
+    assert updated[9].inverse is not used[0].inverse
     stale = [state for state in used if state.stale]
-    assert stale and all(state.inverse is used[0].inverse for state in stale)
+    assert stale and all(state.inverse is updated[9].inverse for state in stale)
 
 
 def test_loop_without_a_built_inverse_runs_unpreconditioned(monkeypatch):
@@ -307,3 +318,140 @@ def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     )
     assert out.iterations <= 2
     assert out.converged
+
+
+# ---------------------------------------------------------------------------
+# update
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    m=st.integers(min_value=2, max_value=30),
+    k_fraction=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_update_from_a_linear_map_satisfies_its_secant_equations(m, k_fraction, seed):
+    # GMRES on an exactly linear map, preconditioned by the inverse of a
+    # perturbed matrix, for at most m/2 iterations (so that the basis is
+    # not yet rounding noise): the updated inverse maps each product Y to its
+    # basis vector S to rounding, and still agrees with the old inverse on
+    # the vectors orthogonal to the columns of M'S
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, m)) + m * np.eye(m)
+    state = PrecondState(inverse=lu_factor(A + rng.standard_normal((m, m))), built_at=0.0)
+    k_max = max(1, math.ceil(k_fraction * m / 2))
+    out = gmres(
+        LinearMap(m, lambda v: A @ v), functools.partial(precond.apply, state),
+        rng.standard_normal(m), k_max=k_max, tol=0.0,
+    )
+    S, Y = out.pairs
+    new = precond.update(state, S, Y)
+    assert new is not state
+    scale = np.linalg.norm(new.inverse) * np.linalg.norm(Y) + np.linalg.norm(S)
+    assert np.linalg.norm(new.inverse @ Y - S) <= 1e-10 * scale
+    Q, _ = np.linalg.qr(np.column_stack([state.inverse.T @ S, rng.standard_normal((m, 1))]))
+    v = Q[:, -1]
+    assert np.allclose(new.inverse @ v, state.inverse @ v, atol=1e-10 * scale)
+    assert (new.built_at, new.stale, new.residual) == (0.0, False, None)
+
+
+@pytest.mark.parametrize(
+    "pairs, k",
+    [("zero_products", 1), ("zero_products", 3), ("equal_columns", 3), ("nan_product", 1),
+     ("nan_product", 3)],
+)
+def test_update_skips_an_ill_conditioned_gram_matrix(pairs, k):
+    # S'MY singular (Y = 0, or two equal columns), or not finite: the state
+    # comes back as it is
+    rng = np.random.default_rng(8)
+    state = PrecondState(inverse=lu_factor(rng.standard_normal((6, 6)) + 6 * np.eye(6)))
+    before = state.inverse.copy()
+    S, Y = rng.standard_normal((2, 6, k))
+    if pairs == "zero_products":
+        Y[:] = 0.0
+    elif pairs == "equal_columns":
+        S[:, 2], Y[:, 2] = S[:, 1], Y[:, 1]
+    else:
+        Y[0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert precond.update(state, S, Y) is state
+    assert np.array_equal(state.inverse, before)
+
+
+def test_update_skips_a_gram_matrix_at_the_condition_bound():
+    # a Gram matrix S'MY = diag(1, 1e-10) has 1-norm condition number 1e10;
+    # a 1-by-1 one has condition number 1 unless its reciprocal overflows
+    state = PrecondState(inverse=np.eye(4))
+    S = np.eye(4)[:, :2]
+    assert precond.update(state, S, S * [1.0, 1e-10]) is state
+    assert precond.update(state, S, S * [1.0, 2e-10]) is not state
+    s = S[:, :1]
+    assert precond.update(state, s, 1e-320 * s) is state
+    new = precond.update(state, s, 1e-300 * s)
+    assert math.isclose(new.inverse[0, 0], 1e300, rel_tol=1e-15)
+
+
+def test_loop_updates_leave_every_built_inverse_unchanged(monkeypatch):
+    # case 2 updates the inverse after every step; each update returns a new
+    # array, and every inverse a rebuild returned keeps its bits to the end
+    built, updated = [], []
+    rebuild, update = precond.rebuild, precond.update
+
+    def spy_rebuild(*args, **kwargs):
+        state = rebuild(*args, **kwargs)
+        built.append((state, state.inverse.copy()))
+        return state
+
+    def spy_update(state, S, Y):
+        out = update(state, S, Y)
+        updated.append((state, out))
+        return out
+
+    monkeypatch.setattr(precond, "rebuild", spy_rebuild)
+    monkeypatch.setattr(precond, "update", spy_update)
+    records = run_simulation(SimConfig(case_preset=2, **PRESETS[2])).records
+    assert len(built) == sum(r.rebuilt for r in records) > 1
+    assert len(updated) == len(records)
+    assert all(new.inverse is not old.inverse for old, new in updated)
+    for state, bits in built:
+        assert np.array_equal(state.inverse, bits)
+
+
+def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
+    # the Krylov direction of case-2 step 5 diverges: the step degrades,
+    # makes no update, and step 6 applies the state that step 5 applied
+    step, calls = [0], [0]
+    kernel = continuation.block_residual
+
+    def diverging_apply(*args):
+        calls[0] += 1
+        if step[0] == 5 and calls[0] == 2:  # F, then the first apply
+            raise TrajectoryDivergedError("state", 1)
+        return kernel(*args)
+
+    def next_step(i, t, x):
+        step[0], calls[0] = i + 1, 0
+        return x
+
+    used, updated = [], []
+    apply, update = precond.apply, precond.update
+
+    def spy_apply(state, r):
+        used.append((step[0], state))
+        return apply(state, r)
+
+    def spy_update(state, S, Y):
+        updated.append(step[0])
+        return update(state, S, Y)
+
+    monkeypatch.setattr(continuation, "block_residual", diverging_apply)
+    monkeypatch.setattr(precond, "apply", spy_apply)
+    monkeypatch.setattr(precond, "update", spy_update)
+    cfg = SimConfig(case_preset=2, **PRESETS[2])
+    cfg.t_end = 0.14
+    records = run_simulation(cfg, measure=next_step).records
+    assert [r.krylov_residual == math.inf for r in records] == [i == 5 for i in range(7)]
+    assert updated == [0, 1, 2, 3, 4, 6]
+    at = {i: [state for j, state in used if j == i] for i in (5, 6)}
+    assert at[5] and all(state is at[5][0] for state in at[5] + at[6])

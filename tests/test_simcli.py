@@ -217,6 +217,23 @@ def test_config_file_non_finite_value_is_usage_error(tmp_path, capsys, setting):
     assert capsys.readouterr().err.rstrip().endswith(f"error: {_BAD_SETTINGS[setting]}")
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("2.5", "invalid literal for int() with base 10: '2.5'"),
+        ("7", "case must be one of [1, 2, 3, 4], got 7"),
+    ],
+)
+def test_config_file_bad_case_names_its_key(tmp_path, capsys, value, message):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"case = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"error: config key case: {message}")
+
+
 def test_config_file_unknown_key_or_malformed(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("case = 1\nwhatever = 12\n")
@@ -368,7 +385,7 @@ def test_run_without_precond_never_consults_schedule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("preconditioner used with precond off")
 
-    for name in ("should_rebuild", "rebuild", "apply"):
+    for name in ("should_rebuild", "rebuild", "apply", "update"):
         monkeypatch.setattr(precond, name, refuse)
     cfg = SimConfig(case_preset=1, **PRESETS[1])
     cfg.t_end = 0.1
