@@ -33,9 +33,12 @@ __all__ = [
     "update",
 ]
 
-# An update whose Gram matrix S'MY has a 1-norm condition number at least
-# this large is skipped: its inverse would amplify rounding into M.
-_MAX_GRAM_COND = 1e10
+# An update is skipped when |S'| |MY| |(S'MY)^-1|, in 1-norms, is at least
+# this large.  The computed S'MY carries rounding of order eps |S'| |MY|, so
+# the product bounds how far its inverse amplifies that rounding into M.  It
+# is at least the condition number of S'MY, and for a single pair it is
+# |s|_inf |My|_1 / |s'My|, which grows as s and My turn orthogonal.
+_MAX_AMPLIFICATION = 1e10
 
 
 class StalePreconditionerWarning(RuntimeWarning):
@@ -139,42 +142,33 @@ def update(state: PrecondState, S: np.ndarray, Y: np.ndarray) -> PrecondState:
     The updated inverse maps every column of Y to the same column of S and
     agrees with M on the vectors orthogonal to the columns of M'S.  The
     result holds a new array, ``residual`` None and the bookkeeping of
-    ``state``.  When the k-by-k Gram matrix ``S' M Y`` is singular or its
-    1-norm condition number is at least 1e10 (or not finite), the update is
-    skipped and ``state`` itself is returned.  Costs three (m, m) by (m, k)
-    products and one k-by-k inverse.
+    ``state``.  The update is skipped, and ``state`` itself returned, when
+    the k-by-k Gram matrix ``S' M Y`` is singular or when
+    ``|S'| |M Y| |(S' M Y)^-1|`` in 1-norms is at least 1e10 or not finite.
+    That product is at least the condition number of ``S' M Y``; for a
+    single pair it is ``|s|_inf |M y|_1 / |s' M y|``, so it also skips a
+    pair whose s and My are nearly orthogonal.  Costs three (m, m) by
+    (m, k) products and one k-by-k inverse.
     """
     # np.dot, not @: for these shapes numpy's matmul is slower, twice as
     # slow for the (m, 1) by (1, m) outer product of a single pair
     M = state.inverse
     MY = np.dot(M, Y)
     StM = np.dot(S.T, M)
-    gram_inv = _gram_inverse(np.dot(StM, Y))
-    if gram_inv is None:
+    try:
+        gram_inv = np.linalg.inv(np.dot(StM, Y))
+    except np.linalg.LinAlgError:
+        return state
+    # a 1-norm is the largest column sum of magnitudes (of S' here, so the
+    # row sums of S); the norms are multiplied as Python floats, which
+    # overflow to inf without a warning
+    amplification = (
+        float(np.abs(S).sum(axis=1).max())
+        * float(np.abs(MY).sum(axis=0).max())
+        * float(np.abs(gram_inv).sum(axis=0).max())
+    )
+    if not amplification < _MAX_AMPLIFICATION:
         return state
     inverse = np.dot(S - MY, np.dot(gram_inv, StM))
     inverse += M
     return PrecondState(inverse=inverse, built_at=state.built_at, stale=state.stale)
-
-
-def _gram_inverse(gram: np.ndarray) -> Optional[np.ndarray]:
-    """Inverse of a Gram matrix; None when it is singular or its 1-norm
-    condition number is at least ``_MAX_GRAM_COND`` or not finite.
-
-    A 1-by-1 matrix, the one pair of a step under ``k_max = 1``, is inverted
-    as a Python float, whose condition number is 1 unless the reciprocal
-    overflows: in the loop, numpy's inverse and norms cost as much as the
-    rest of the update.
-    """
-    if gram.shape == (1, 1):
-        g = float(gram[0, 0])
-        if g == 0.0 or not abs(g) * abs(1.0 / g) < _MAX_GRAM_COND:
-            return None
-        return np.array([[1.0 / g]])
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        return None
-    # the 1-norm is the largest column sum of magnitudes
-    cond = np.abs(gram).sum(axis=0).max() * np.abs(gram_inv).sum(axis=0).max()
-    return gram_inv if cond < _MAX_GRAM_COND else None

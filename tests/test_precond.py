@@ -380,8 +380,9 @@ def test_update_skips_an_ill_conditioned_gram_matrix(pairs, k):
 
 
 def test_update_skips_a_gram_matrix_at_the_condition_bound():
-    # a Gram matrix S'MY = diag(1, 1e-10) has 1-norm condition number 1e10;
-    # a 1-by-1 one has condition number 1 unless its reciprocal overflows
+    # S = (e1, e2) and MY = S diag(1, 1e-10) give |S'| |MY| |(S'MY)^-1| =
+    # 1e10 in 1-norms; a single pair y = c s gives 1 at any scale c unless
+    # the reciprocal of S'MY overflows
     state = PrecondState(inverse=np.eye(4))
     S = np.eye(4)[:, :2]
     assert precond.update(state, S, S * [1.0, 1e-10]) is state
@@ -390,6 +391,20 @@ def test_update_skips_a_gram_matrix_at_the_condition_bound():
     assert precond.update(state, s, 1e-320 * s) is state
     new = precond.update(state, s, 1e-300 * s)
     assert math.isclose(new.inverse[0, 0], 1e300, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_update_skips_a_single_pair_at_the_angle_bound(scale):
+    # one pair whose s and My are nearly orthogonal: s'My = c with
+    # |s|_inf |My|_1 = 1 + c, so the update is skipped once (1 + c) / c
+    # reaches 1e10, at any common scale of s and y
+    state = PrecondState(inverse=np.eye(4))
+    s = np.eye(4)[:, :1]
+    e2 = np.eye(4)[:, 1:2]
+    assert precond.update(state, scale * s, scale * (e2 + 1e-10 * s)) is state
+    new = precond.update(state, scale * s, scale * (e2 + 1e-9 * s))
+    assert new is not state
+    assert np.allclose(new.inverse @ (e2 + 1e-9 * s), s)
 
 
 def test_loop_updates_leave_every_built_inverse_unchanged(monkeypatch):
