@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -96,6 +96,10 @@ class OcpSpec:
     (part of the problem definition; the engine reads only its gradients),
     and ``H_*`` the partial derivatives of the Hamiltonian L + lam'f + mu'C.
     Optional callbacks default to zero contributions.
+
+    The callbacks describe the continuous problem and must not depend on N:
+    :func:`initial_solve` re-discretizes the spec on coarser horizons (the
+    same spec with ``dims.N`` replaced) for any N above 10.
 
     Batch contract.  The engine evaluates one decision vector or a block of
     K of them at once, with the batch on the trailing axes: below, ``batch``
@@ -647,6 +651,26 @@ def _backtrack(
     return None
 
 
+def _resampled(U: DecisionVector, dims: OcpDims) -> DecisionVector:
+    """U on the horizon of ``dims``, a horizon of the same problem: stage i
+    copies u and mu of stage ``i * N_U // N`` of U, and nu and p carry over."""
+    src = U.dims
+    out = DecisionVector.zeros(dims)
+    u, mu, nu, p = _blocks(src, U.data)
+    out_u, out_mu, out_nu, out_p = _blocks(dims, out.data)
+    stages = np.arange(dims.N) * src.N // dims.N
+    out_u[...] = u[:, stages]
+    out_mu[...] = mu[:, stages]
+    out_nu[...] = nu
+    out_p[...] = p
+    return out
+
+
+# Horizons up to this many stages are cold-started directly; a longer one
+# climbs a ladder of halved horizons from one of them.
+_DIRECT_HORIZON = 10
+
+
 def initial_solve(
     spec: OcpSpec,
     x0: np.ndarray,
@@ -656,25 +680,75 @@ def initial_solve(
     max_newton: int = 50,
     fd_step: float = 1e-5,
 ) -> InitialSolveResult:
-    """Damped Newton solve of the stationarity system for the cold start.
+    """Cold start: damped Newton solves of the stationarity system, on a
+    ladder of horizons up to the spec's N.
 
-    Assembles the dense difference Jacobian each iteration with
+    A horizon N of at most 10 stages is solved directly from ``U_guess``.
+    For a longer one the same spec is first solved on the coarser horizon
+    N // 2, halved again until it is at most 10 stages, and the solve climbs
+    back up one rung at a time: the coarsest rung starts from ``U_guess``
+    and every finer one from the solution of the rung below, both resampled
+    (fine stage i takes u and mu of coarse stage i * N_coarse // N_fine; nu
+    and p carry over).  On N = 40 the rungs are 10, 20 and 40.  Every rung
+    runs to ``tol_init``; ``max_newton`` caps the Newton iterations of all
+    rungs together (a rung that finds the budget spent only scores its
+    starting point), and ``newton_iterations`` is their sum.  The result is
+    the iterate of the full horizon and its residual norm, also when it is
+    above ``tol_init``.
+
+    Each Newton iteration assembles the dense difference Jacobian with
     :func:`assemble_jacobian` (its residual column repeats the residual the
     previous iteration scored) and scores the direct Newton step and its
     halvings 1 to 20 times in one block residual: the first of them, in that
-    order, that lowers the residual norm wins, and when none does the solve
-    stops.  Stops at ``tol_init`` or after ``max_newton`` iterations,
-    returning the final iterate and its residual norm either way.
+    order, that lowers the residual norm wins, and when none does the rung
+    stops.
 
     A guess whose trajectory diverges, a Jacobian assembly whose block
     diverges, a Jacobian with non-finite entries and a Jacobian that stays
     singular (or turns non-finite) after a small diagonal shift raise
     :class:`ColdStartError` carrying the best iterate and its residual norm
     (infinite for a diverging guess); for a diverging guess or assembly the
-    message names the recursion and the horizon step.  The assembly is one
-    block residual, so a diverging one costs one block.  Any other error in
-    it is a bug and propagates.
+    message names the recursion and the horizon step.  A failure on a coarse
+    rung names the rung's horizon, and its best iterate is resampled up to
+    the spec's horizon and carries the residual norm there (infinite where
+    that trajectory diverges).  The assembly is one block residual, so a
+    diverging one costs one block.  Any other error in it is a bug and
+    propagates.
     """
+    rungs = [spec.dims.N]
+    while rungs[-1] > _DIRECT_HORIZON:
+        rungs.append(rungs[-1] // 2)
+    U = U_guess
+    iterations = 0
+    for N in reversed(rungs):
+        rung = spec if N == spec.dims.N else replace(spec, dims=replace(spec.dims, N=N))
+        if N != U.dims.N:
+            U = _resampled(U, rung.dims)
+        try:
+            U, norm, done = _newton(rung, x0, t0, U, tol_init, max_newton - iterations, fd_step)
+        except ColdStartError as exc:
+            if N == spec.dims.N:
+                raise
+            best = _resampled(exc.best, spec.dims)
+            raise ColdStartError(
+                f"{exc} on the rung N = {N} of the horizon ladder to N = {spec.dims.N}",
+                best,
+                _scored(spec, best, x0, t0)[1],
+            ) from exc
+        iterations += done
+    return InitialSolveResult(U=U, residual_norm=norm, newton_iterations=iterations)
+
+
+def _newton(
+    spec: OcpSpec,
+    x0: np.ndarray,
+    t0: float,
+    U_guess: DecisionVector,
+    tol_init: float,
+    max_newton: int,
+    fd_step: float,
+) -> InitialSolveResult:
+    """The damped Newton solve of one rung of :func:`initial_solve`."""
     U = U_guess.copy()
     try:
         F = optimality_residual(spec, U, x0, t0)

@@ -143,7 +143,9 @@ def linear_spec(M):
     control per stage, a state that never moves and no costate coupling.
 
     The control gradient is ``N * (M @ u)``, which the kernel scales by the
-    stage length 1/N.
+    stage length 1/N.  The callbacks close over N and M, against the
+    :class:`OcpSpec` rule that they not depend on N, so the spec is never
+    cold-started above N = 10, where the cold start re-discretizes it.
     """
     N = M.shape[0]
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=N)
@@ -211,8 +213,49 @@ def threshold_spec(blow_up, limit, n_steps=3):
 def sequential_initial_solve(
     spec, x0, t0, U_guess, tol_init=1e-6, max_newton=50, fd_step=1e-5
 ):
-    """Independent oracle: the damped Newton cold start with its backtracking
-    written as a loop, one residual evaluation per trial step.
+    """Independent oracle: the cold start's horizon ladder, each rung a damped
+    Newton solve with its backtracking written as a loop.
+
+    The rungs are N halved (rounding down) until at most 10 stages, then
+    back up to N; a horizon of at most 10 stages is its only rung.  Each rung
+    starts from the one below, resampled stage by stage through the
+    :class:`DecisionVector` accessors (the coarsest from ``U_guess``), and
+    spends what the rungs below left of ``max_newton``.
+    """
+    horizons = [spec.dims.N]
+    while horizons[-1] > 10:
+        horizons.append(horizons[-1] // 2)
+    U = U_guess
+    iterations = 0
+    for N in reversed(horizons):
+        dims = dataclasses.replace(spec.dims, N=N)
+        if N != U.dims.N:
+            U = stagewise_resample(U, dims)
+        res = sequential_newton(
+            dataclasses.replace(spec, dims=dims), x0, t0, U, tol_init, max_newton - iterations,
+            fd_step,
+        )
+        U = res.U
+        iterations += res.newton_iterations
+    return InitialSolveResult(U=U, residual_norm=res.residual_norm, newton_iterations=iterations)
+
+
+def stagewise_resample(U, dims):
+    """Independent oracle: U on the horizon of ``dims``, one stage at a time:
+    stage i copies u and mu of stage i * N_U // N, and nu and p carry over."""
+    out = DecisionVector.zeros(dims)
+    for i in range(dims.N):
+        j = i * U.dims.N // dims.N
+        out.u(i)[:] = U.u(j)
+        out.mu(i)[:] = U.mu(j)
+    out.nu()[:] = U.nu()
+    out.p()[:] = U.p()
+    return out
+
+
+def sequential_newton(spec, x0, t0, U_guess, tol_init, max_newton, fd_step):
+    """One rung of :func:`sequential_initial_solve`, one residual evaluation
+    per trial step.
 
     Each iteration tries the full Newton step and then up to 20 halvings of
     it, and takes the first that lowers the residual norm (a diverging trial

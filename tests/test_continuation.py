@@ -23,7 +23,7 @@ from cnmpc.continuation import (
     optimality_residual,
 )
 from cnmpc.krylov import IndefinitePreconditionerError, lu_factor, lu_solve
-from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
+from cnmpc.mintime import MinTimeConstants, initial_guess, problem_dims, problem_spec
 from helpers import (
     backward_costates,
     central_residual_oracle,
@@ -36,6 +36,7 @@ from helpers import (
     recursion_failure,
     residual_rows,
     sequential_initial_solve,
+    stagewise_resample,
     threshold_spec,
 )
 
@@ -824,6 +825,20 @@ def _solve_outcome(solve, spec, x0, U, **kw):
     return res.U.data.tobytes(), res.residual_norm, res.newton_iterations
 
 
+def _draw(c_u, offset, distance):
+    """Constants with the target at ``distance`` and bearing ``c_u + offset``,
+    computed as the benchmark panel draws it."""
+    bearing = c_u + offset
+    return MinTimeConstants(
+        c_u=c_u, x_f=distance * math.cos(bearing), y_f=distance * math.sin(bearing)
+    )
+
+
+# (c_u, offset, distance) of the benchmark panel's draw 13, whose cold start
+# stalls on both rungs of N = 20
+_STALL_DRAW = (0.6249398316599503, 0.04239845074181248, 1.8526328384806567)
+
+
 @settings(deadline=None, max_examples=15)
 @given(
     st.integers(min_value=2, max_value=40),
@@ -831,18 +846,21 @@ def _solve_outcome(solve, spec, x0, U, **kw):
     st.floats(min_value=-0.15, max_value=0.15),
     st.floats(min_value=1.0, max_value=2.0),
 )
-# the canonical constants stall at N = 20 and N = 40, where the halvings run
+# the canonical constants climb the rungs 10, 20 (and 40); on one horizon
+# they used to stall at N = 20 and N = 40; the _STALL_DRAW target still
+# stalls at N = 20, where the halvings run
 @example(N=20, c_u=MinTimeConstants().c_u, offset=None, distance=None)
 @example(N=40, c_u=MinTimeConstants().c_u, offset=None, distance=None)
+@example(N=20, c_u=_STALL_DRAW[0], offset=_STALL_DRAW[1], distance=_STALL_DRAW[2])
+@example(N=10, c_u=MinTimeConstants().c_u, offset=None, distance=None)
 def test_initial_solve_equals_sequential_backtracking_oracle(N, c_u, offset, distance):
-    # feasible targets: bearing within the heading band, as the benchmark panel draws them
+    # feasible targets: bearing within the heading band, as the benchmark
+    # panel draws them; above N = 10 the oracle climbs its own ladder, at or
+    # below it the oracle is the plain one-horizon Newton loop
     if offset is None:
         c = MinTimeConstants()
     else:
-        bearing = c_u + offset
-        c = MinTimeConstants(
-            c_u=c_u, x_f=distance * math.cos(bearing), y_f=distance * math.sin(bearing)
-        )
+        c = _draw(c_u, offset, distance)
     spec = problem_spec(c, N)
     U = initial_guess(c, N)
     assert _solve_outcome(initial_solve, spec, c.start, U) == _solve_outcome(
@@ -850,13 +868,24 @@ def test_initial_solve_equals_sequential_backtracking_oracle(N, c_u, offset, dis
     )
 
 
-def test_stalled_cold_start_scores_halvings_in_blocks(consts):
-    # Each Newton iteration is one assembly block (m, m + 1), the iterate
-    # and its m difference points, and one block (m, 21) holding the full
-    # step and its twenty halvings; nothing diverges, so the guess is the
-    # only single-vector residual.
-    spec = problem_spec(consts, 20)
-    m = spec.dims.decision_size
+def _rung_blocks(shapes):
+    """Block shapes grouped by rung: runs of equal row counts, in order."""
+    rungs = []
+    for shape in shapes:
+        if not rungs or rungs[-1][0][0] != shape[0]:
+            rungs.append([])
+        rungs[-1].append(shape)
+    return rungs
+
+
+def test_stalled_cold_start_scores_halvings_in_blocks():
+    # Each rung scores its starting point once, then each of its Newton
+    # iterations is one assembly block (m, m + 1), the iterate and its m
+    # difference points, and one block (m, 21) holding the full step and its
+    # twenty halvings; nothing diverges, so the starting points are the only
+    # single-vector residuals.  This draw stalls on both rungs, 10 and 20.
+    c = _draw(*_STALL_DRAW)
+    spec = problem_spec(c, 20)
     shapes = []
     original = continuation.block_residual
 
@@ -865,11 +894,87 @@ def test_stalled_cold_start_scores_halvings_in_blocks(consts):
         return original(spec_, Z, x, t)
 
     with mock.patch.object(continuation, "block_residual", spy):
-        res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, 20))
-    assert res.residual_norm > 1e-6  # the documented N = 20 stall
-    assert shapes.count((m,)) == 1
-    assert shapes.count((m, m + 1)) == shapes.count((m, 21)) == res.newton_iterations
-    assert len(shapes) == 1 + 2 * res.newton_iterations
+        res = initial_solve(spec, c.start, 0.0, initial_guess(c, 20))
+    assert res.residual_norm > 1e-6  # the stall
+    rungs = _rung_blocks(shapes)
+    sizes = [problem_dims(N).decision_size for N in (10, 20)]
+    assert [blocks[0] for blocks in rungs] == [(m,) for m in sizes]
+    iterations = []
+    for m, blocks in zip(sizes, rungs):
+        k = (len(blocks) - 1) // 2
+        assert blocks[1:] == [(m, m + 1), (m, 21)] * k
+        iterations.append(k)
+    assert min(iterations) >= 1
+    assert sum(iterations) == res.newton_iterations < 50
+
+
+def test_long_horizon_assembles_each_rung_in_order(consts):
+    # N = 40 climbs the rungs 10, 20 and 40: every assembly block has m + 1
+    # columns for its rung's m, and the rungs come in that order
+    spec = problem_spec(consts, 40)
+    columns = []
+    original = continuation.assemble_jacobian
+
+    def spy(*args, **kwargs):
+        R = original(*args, **kwargs)
+        columns.append(R.shape)
+        return R
+
+    with mock.patch.object(continuation, "assemble_jacobian", spy):
+        res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, 40))
+    sizes = [problem_dims(N).decision_size for N in (10, 20, 40)]
+    assert [blocks[0] for blocks in _rung_blocks(columns)] == [(m, m + 1) for m in sizes]
+    assert len(columns) == res.newton_iterations
+
+
+@pytest.mark.parametrize("N", [20, 40, 80])
+def test_canonical_cold_start_converges_on_long_horizons(consts, N):
+    spec = problem_spec(consts, N)
+    res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, N))
+    assert res.residual_norm <= 1e-6
+    assert res.newton_iterations <= 50
+    assert res.U.dims == spec.dims
+    assert float(np.linalg.norm(optimality_residual(spec, res.U, consts.start))) == (
+        res.residual_norm
+    )
+
+
+def test_cold_start_is_one_public_call(consts):
+    # the rungs run through a private helper, so a wrapper of the public
+    # name (as a tracer installs) sees one call per cold start
+    calls = []
+    original = continuation.initial_solve
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].dims.N)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(continuation, "initial_solve", spy):
+        for N in (10, 40, 80):
+            continuation.initial_solve(
+                problem_spec(consts, N), consts.start, 0.0, initial_guess(consts, N)
+            )
+    assert calls == [10, 40, 80]
+
+
+@pytest.mark.parametrize("N", [11, 15, 20, 30, 40, 80])
+def test_restricted_initial_guess_is_the_coarse_guess(consts, N):
+    coarse = problem_dims(N // 2)
+    restricted = continuation._resampled(initial_guess(consts, N), coarse)
+    assert restricted.dims == coarse
+    assert restricted.data.tobytes() == initial_guess(consts, N // 2).data.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resampled_copies_the_mapped_stages(N_from, N_to, seed):
+    U = random_decision(problem_dims(N_from), seed)
+    got = continuation._resampled(U, problem_dims(N_to))
+    assert got.data.tobytes() == stagewise_resample(U, problem_dims(N_to)).data.tobytes()
 
 
 @settings(deadline=None, max_examples=20)
@@ -883,7 +988,9 @@ def test_stalled_cold_start_scores_halvings_in_blocks(consts):
 def test_initial_solve_backtracks_past_broken_trials(blow_up, N, fraction):
     # The full Newton step and its first halving leave the region where the
     # problem is finite: the state overflows (the block raises and the trials
-    # are re-scored one at a time) or the residual turns NaN.
+    # are re-scored one at a time) or the residual turns NaN.  Above N = 10
+    # the limit also bounds the coarser rungs, and the oracle climbs the same
+    # ladder; a rung that fails reports the error at the caller's horizon.
     x0 = np.array([1.0])
     zero = DecisionVector.zeros(quadratic_spec(N).dims)
     solution = initial_solve(quadratic_spec(N), x0, 0.0, zero, tol_init=1e-12).U.data
@@ -918,9 +1025,10 @@ def test_initial_solve_backtracks_past_broken_trials(blow_up, N, fraction):
 
 @pytest.mark.parametrize("N", [3, 10, 40])
 def test_initial_solve_stops_at_the_rounding_floor(N):
-    # with an unreachable tolerance the solve stops once no halved step
-    # lowers the norm; a step that rounds back to the iterate (equal norm)
-    # must not count as progress
+    # with an unreachable tolerance each rung stops once no halved step
+    # lowers the norm (N = 40 climbs the rungs 10, 20 and 40, as the oracle
+    # does); a step that rounds back to the iterate (equal norm) must not
+    # count as progress
     spec = quadratic_spec(N)
     x0 = np.array([1.0])
     zero = DecisionVector.zeros(spec.dims)
@@ -991,3 +1099,49 @@ def test_initial_solve_non_finite_shift_raises_cold_start_error():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ColdStartError) as err:
         initial_solve(spec, np.zeros(1), 0.0, guess)
     assert np.array_equal(err.value.best.data, guess.data)
+
+
+def _constant_residual_spec(N):
+    """A residual that ignores the controls: every Jacobian is zero."""
+    dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=N)
+
+    def f(tau, x, u, p, s):
+        return np.zeros_like(x)
+
+    def H_u(tau, x, lam, u, mu, p, s):
+        return np.ones_like(u)
+
+    return OcpSpec(dims=dims, f=f, H_u=H_u)
+
+
+@pytest.mark.parametrize(
+    "make, value, cause",
+    [
+        # the guess overflows the state on the coarsest rung already
+        (lambda N: threshold_spec("state", 1.0, N), 2.0, "non-finite trajectory of the guess"),
+        # a guess at the limit: every difference column crosses it
+        (lambda N: threshold_spec("state", 1.0, N), 1.0, "failed Jacobian assembly"),
+        (lambda N: threshold_spec("residual", 1.0, N), 1.0, "non-finite Jacobian"),
+        (_constant_residual_spec, 2.0, "singular Jacobian"),
+    ],
+    ids=["guess", "assembly", "non-finite", "singular"],
+)
+@pytest.mark.parametrize("N, rung", [(11, 5), (20, 10), (40, 10)])
+def test_coarse_rung_failure_reports_at_the_callers_horizon(make, value, cause, N, rung):
+    spec = make(N)
+    x0 = np.array([1.0])
+    guess = DecisionVector(spec.dims, np.full(N, value))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ColdStartError) as err:
+        initial_solve(spec, x0, 0.0, guess, tol_init=1e-10)
+    message = str(err.value)
+    assert message.startswith(cause)
+    assert message.endswith(f"on the rung N = {rung} of the horizon ladder to N = {N}")
+    best = err.value.best
+    assert best.dims == spec.dims
+    # the failing rung's best is the restricted guess, resampled back up
+    assert best.data.tobytes() == guess.data.tobytes()
+    try:
+        norm = float(np.linalg.norm(optimality_residual(spec, best, x0)))
+    except TrajectoryDivergedError:
+        norm = math.inf
+    assert err.value.residual_norm == norm

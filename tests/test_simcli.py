@@ -544,6 +544,25 @@ def test_main_cold_start_failure_exit_code(tmp_path, capsys):
     assert "residual" in capsys.readouterr().err
 
 
+def test_main_long_horizon_cold_start_arrives(capsys):
+    # N = 40 cold-starts up the rungs 10, 20 and 40; on one horizon the
+    # Newton solve stalled at residual norm 3.5e-5 and the run exited 3
+    assert main(["--case", "1", "--N", "40"]) == 0
+    assert "arrival time: 0.98 s" in capsys.readouterr().out.splitlines()
+
+
+def test_main_coarse_rung_failure_exit_code(tmp_path, capsys):
+    # the guess's trajectory overflows on the coarsest rung of N = 20
+    cfg_file = tmp_path / "extreme.cfg"
+    cfg_file.write_text("case = 1\nA = 1e300\nN = 20\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["--config", str(cfg_file)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: non-finite trajectory of the guess")
+    assert err.rstrip().endswith("on the rung N = 10 of the horizon ladder to N = 20")
+
+
 @pytest.mark.parametrize(
     "setting",
     [
