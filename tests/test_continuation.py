@@ -846,9 +846,8 @@ _STALL_DRAW = (0.6249398316599503, 0.04239845074181248, 1.8526328384806567)
     st.floats(min_value=-0.15, max_value=0.15),
     st.floats(min_value=1.0, max_value=2.0),
 )
-# the canonical constants climb the rungs 10, 20 (and 40); on one horizon
-# they used to stall at N = 20 and N = 40; the _STALL_DRAW target still
-# stalls at N = 20, where the halvings run
+# the canonical constants climb the rungs 10, 20 (and 40), and the
+# _STALL_DRAW target stalls at N = 20, where the halvings run
 @example(N=20, c_u=MinTimeConstants().c_u, offset=None, distance=None)
 @example(N=40, c_u=MinTimeConstants().c_u, offset=None, distance=None)
 @example(N=20, c_u=_STALL_DRAW[0], offset=_STALL_DRAW[1], distance=_STALL_DRAW[2])

@@ -545,8 +545,8 @@ def test_main_cold_start_failure_exit_code(tmp_path, capsys):
 
 
 def test_main_long_horizon_cold_start_arrives(capsys):
-    # N = 40 cold-starts up the rungs 10, 20 and 40; on one horizon the
-    # Newton solve stalled at residual norm 3.5e-5 and the run exited 3
+    # N = 40 cold-starts up the rungs 10, 20 and 40; a Newton solve on the
+    # one horizon stalls at residual norm 3.5e-5
     assert main(["--case", "1", "--N", "40"]) == 0
     assert "arrival time: 0.98 s" in capsys.readouterr().out.splitlines()
 
