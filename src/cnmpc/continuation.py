@@ -99,7 +99,7 @@ class OcpSpec:
 
     The callbacks describe the continuous problem and must not depend on N:
     :func:`initial_solve` re-discretizes the spec on coarser horizons (the
-    same spec with ``dims.N`` replaced) for any N above 10.
+    same spec with ``dims.N`` replaced) for any N of 20 or more.
 
     Batch contract.  The engine evaluates one decision vector or a block of
     K of them at once, with the batch on the trailing axes: below, ``batch``
@@ -666,8 +666,8 @@ def _resampled(U: DecisionVector, dims: OcpDims) -> DecisionVector:
     return out
 
 
-# Horizons up to this many stages are cold-started directly; a longer one
-# climbs a ladder of halved horizons from one of them.
+# The coarsest rung of the cold start's horizon ladder: a horizon is halved
+# while the half has at least this many stages, so N < 20 is solved directly.
 _DIRECT_HORIZON = 10
 
 
@@ -683,18 +683,23 @@ def initial_solve(
     """Cold start: damped Newton solves of the stationarity system, on a
     ladder of horizons up to the spec's N.
 
-    A horizon N of at most 10 stages is solved directly from ``U_guess``.
-    For a longer one the same spec is first solved on the coarser horizon
-    N // 2, halved again until it is at most 10 stages, and the solve climbs
-    back up one rung at a time: the coarsest rung starts from ``U_guess``
-    and every finer one from the solution of the rung below, both resampled
-    (fine stage i takes u and mu of coarse stage i * N_coarse // N_fine; nu
-    and p carry over).  On N = 40 the rungs are 10, 20 and 40.  Every rung
-    runs to ``tol_init``; ``max_newton`` caps the Newton iterations of all
-    rungs together (a rung that finds the budget spent only scores its
-    starting point), and ``newton_iterations`` is their sum.  The result is
-    the iterate of the full horizon and its residual norm, also when it is
-    above ``tol_init``.
+    A horizon N below 20 stages is solved directly from ``U_guess``.  For a
+    longer one the same spec is first solved on the coarser horizon N // 2,
+    halved again while the half has at least 10 stages, and the solve climbs
+    back up one rung at a time: the coarsest rung (10 to 19 stages) starts
+    from ``U_guess`` and every finer one from the solution of the rung below,
+    both resampled (fine stage i takes u and mu of coarse stage
+    i * N_coarse // N_fine; nu and p carry over).  On N = 40 the rungs are
+    10, 20 and 40, on N = 30 they are 15 and 30.  Every rung runs to
+    ``tol_init``; a rung that ends above it hands nothing up, and the next
+    rung starts from ``U_guess`` again.  ``max_newton`` caps the Newton
+    iterations of all rungs together, and the coarse rungs share at most
+    half of it, so the full horizon keeps at least ``max_newton // 2`` even
+    after a stalled rung (a rung that finds its budget spent only scores its
+    starting point); ``newton_iterations`` is the sum over the rungs.
+    The result is the iterate of the full horizon and its residual norm,
+    also when it is above ``tol_init``.  A guess on other dims than the
+    spec's raises ValueError.
 
     Each Newton iteration assembles the dense difference Jacobian with
     :func:`assemble_jacobian` (its residual column repeats the residual the
@@ -715,17 +720,20 @@ def initial_solve(
     diverging one costs one block.  Any other error in it is a bug and
     propagates.
     """
+    if U_guess.dims != spec.dims:
+        raise ValueError(f"expected a guess on {spec.dims}, got one on {U_guess.dims}")
     rungs = [spec.dims.N]
-    while rungs[-1] > _DIRECT_HORIZON:
+    while rungs[-1] // 2 >= _DIRECT_HORIZON:
         rungs.append(rungs[-1] // 2)
-    U = U_guess
+    start = U_guess
     iterations = 0
     for N in reversed(rungs):
         rung = spec if N == spec.dims.N else replace(spec, dims=replace(spec.dims, N=N))
-        if N != U.dims.N:
-            U = _resampled(U, rung.dims)
+        U = start if N == start.dims.N else _resampled(start, rung.dims)
+        # the coarse rungs share half the budget; the full horizon keeps the rest
+        budget = max_newton if N == spec.dims.N else max_newton // 2
         try:
-            U, norm, done = _newton(rung, x0, t0, U, tol_init, max_newton - iterations, fd_step)
+            res = _newton(rung, x0, t0, U, tol_init, budget - iterations, fd_step)
         except ColdStartError as exc:
             if N == spec.dims.N:
                 raise
@@ -735,8 +743,10 @@ def initial_solve(
                 best,
                 _scored(spec, best, x0, t0)[1],
             ) from exc
-        iterations += done
-    return InitialSolveResult(U=U, residual_norm=norm, newton_iterations=iterations)
+        iterations += res.newton_iterations
+        # a rung that stalls hands nothing up: the next one starts from the guess
+        start = res.U if res.residual_norm <= tol_init else U_guess
+    return res._replace(newton_iterations=iterations)
 
 
 def _newton(

@@ -216,28 +216,30 @@ def sequential_initial_solve(
     """Independent oracle: the cold start's horizon ladder, each rung a damped
     Newton solve with its backtracking written as a loop.
 
-    The rungs are N halved (rounding down) until at most 10 stages, then
-    back up to N; a horizon of at most 10 stages is its only rung.  Each rung
-    starts from the one below, resampled stage by stage through the
-    :class:`DecisionVector` accessors (the coarsest from ``U_guess``), and
-    spends what the rungs below left of ``max_newton``.
+    The rungs are N halved (rounding down) while the half has at least 10
+    stages, then back up to N; a horizon below 20 stages is its only rung.
+    Each rung starts from the one below, resampled stage by stage through
+    the :class:`DecisionVector` accessors, or from ``U_guess`` when it is the
+    coarsest or the rung below stalled.  The coarse rungs spend at most half
+    of ``max_newton`` between them, and the full horizon what is left.
     """
     horizons = [spec.dims.N]
-    while horizons[-1] > 10:
+    while horizons[-1] >= 20:
         horizons.append(horizons[-1] // 2)
+    horizons.reverse()
     U = U_guess
     iterations = 0
-    for N in reversed(horizons):
+    for N in horizons:
         dims = dataclasses.replace(spec.dims, N=N)
         if N != U.dims.N:
             U = stagewise_resample(U, dims)
+        cap = max_newton if N == spec.dims.N else max_newton // 2
         res = sequential_newton(
-            dataclasses.replace(spec, dims=dims), x0, t0, U, tol_init, max_newton - iterations,
-            fd_step,
+            dataclasses.replace(spec, dims=dims), x0, t0, U, tol_init, cap - iterations, fd_step
         )
-        U = res.U
+        U = res.U if res.residual_norm <= tol_init else U_guess
         iterations += res.newton_iterations
-    return InitialSolveResult(U=U, residual_norm=res.residual_norm, newton_iterations=iterations)
+    return InitialSolveResult(U=res.U, residual_norm=res.residual_norm, newton_iterations=iterations)
 
 
 def stagewise_resample(U, dims):

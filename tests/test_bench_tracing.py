@@ -39,12 +39,17 @@ def workloads(monkeypatch):
     return workloads
 
 
-def test_workloads_cold_start_runs_through_the_package(workloads):
+def test_workloads_cold_start_runs_through_the_package(workloads, tracing):
+    # the rungs of a long horizon run through a private helper, so the
+    # wrapped public name makes one span per cold start
     canonical = workloads.scenarios(1, 0)[0]
-    op = workloads.run_cold_start(0, canonical, 10)
-    assert op.ok, op.reason
-    assert op.check_error is None
-    assert op.residual <= workloads.SIM_DEFAULTS.cold_start_tol
+    for N in (10, 40):
+        with tracing.installed(tracing.Tracer()) as tr:
+            op = workloads.run_cold_start(0, canonical, N)
+        assert op.ok, op.reason
+        assert op.check_error is None
+        assert op.residual <= workloads.SIM_DEFAULTS.cold_start_tol
+        assert tr.names.count("continuation.initial_solve") == 1
 
 
 def test_workloads_case_two_loop_runs_through_the_package(workloads, tmp_path):
