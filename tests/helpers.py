@@ -145,7 +145,7 @@ def linear_spec(M):
     The control gradient is ``N * (M @ u)``, which the kernel scales by the
     stage length 1/N.  The callbacks close over N and M, against the
     :class:`OcpSpec` rule that they not depend on N, so the spec is never
-    cold-started above N = 10, where the cold start re-discretizes it.
+    cold-started: from N = 20 on, the cold start re-discretizes it.
     """
     N = M.shape[0]
     dims = OcpDims(n_x=1, n_u=1, n_c=0, n_psi=0, n_p=0, N=N)
