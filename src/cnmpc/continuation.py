@@ -394,7 +394,7 @@ def _backward(
     return lam
 
 
-def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) -> np.ndarray:
+def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Stacked stationarity residuals of a block of decision vectors.
 
     Z has shape (m,) for one decision vector or (m, K) for K of them in its
@@ -402,9 +402,7 @@ def block_residual(spec: OcpSpec, Z: np.ndarray, x: np.ndarray, t: float = 0.0) 
     control gradients (times dtau) for each stage, constraint residuals
     (times dtau) for each stage, the terminal constraint, then the parameter
     gradient.  The layout mirrors :class:`DecisionVector`, which makes the
-    derivative square and, up to the difference step, symmetric.  ``t`` is
-    accepted for interface parity with time-varying problems; the recursions
-    run on the normalized horizon grid.
+    derivative square and, up to the difference step, symmetric.
 
     The recursions run once per stage over all columns, and
     ``stage_terms``, ``H_u``, ``C`` and ``H_p`` are evaluated once over all
@@ -465,17 +463,18 @@ def optimality_residual(
     spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float = 0.0
 ) -> np.ndarray:
     """Stacked stationarity residual of the discrete horizon problem at U:
-    :func:`block_residual` of the single vector."""
-    return block_residual(spec, U.data, x, t)
+    :func:`block_residual` of the single vector.  ``t`` is not read: the
+    horizon is normalized, and the benchmark passes it positionally."""
+    return block_residual(spec, U.data, x)
 
 
 def difference_operator(
-    spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float, step: float, base: np.ndarray
+    spec: OcpSpec, U: DecisionVector, x: np.ndarray, step: float, base: np.ndarray
 ) -> LinearMap:
     """Forward-difference directional derivative of the residual at U.
 
     ``apply(v)`` returns (F[U + step*v] - base) / step for a direction of
-    shape (m,), where ``base`` is F at (U, x, t); an apply costs one residual
+    shape (m,), where ``base`` is F at (U, x); an apply costs one residual
     evaluation.
     """
     if step <= 0.0:
@@ -486,14 +485,12 @@ def difference_operator(
 
     def apply(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        return (block_residual(spec, data + step * v, x, t) - base) / step
+        return (block_residual(spec, data + step * v, x) - base) / step
 
     return LinearMap(U.dims.decision_size, apply)
 
 
-def assemble_jacobian(
-    spec: OcpSpec, U: DecisionVector, x: np.ndarray, t: float, step: float
-) -> np.ndarray:
+def assemble_jacobian(spec: OcpSpec, U: DecisionVector, x: np.ndarray, step: float) -> np.ndarray:
     """F(U) and the forward-difference Jacobian at U from one block residual.
 
     Scores the block ``[U | U + step*I]`` with one :func:`block_residual`
@@ -511,7 +508,7 @@ def assemble_jacobian(
     Z = np.empty((m, m + 1))
     Z[:, 0] = U.data
     Z[:, 1:] = U.data[:, None] + step * np.eye(m)
-    R = block_residual(spec, Z, x, t)
+    R = block_residual(spec, Z, x)
     R[:, 1:] = (R[:, 1:] - R[:, :1]) / step
     return R
 
@@ -537,7 +534,6 @@ def continuation_step(
     spec: OcpSpec,
     U: DecisionVector,
     x: np.ndarray,
-    t: float,
     *,
     fd_step: float,
     k_max: int,
@@ -548,14 +544,14 @@ def continuation_step(
 ) -> tuple[DecisionVector, StepDiagnostics, Optional[tuple[np.ndarray, np.ndarray]]]:
     """Advance the tracked solution U by one sampling period.
 
-    Solves a(W) = -F/h for the difference operator a at (U, x, t), with the
+    Solves a(W) = -F/h for the difference operator a at (U, x), with the
     difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
     ("gmres" or "minres") with at most ``k_max`` iterations to the relative
     tolerance ``tol``, and returns the updated vector U + h*W, the step's
     diagnostics and the solve's secant pairs ``(S, Y)`` with ``a(S) = Y``
     column by column (:attr:`~cnmpc.krylov.KrylovResult.pairs`; None for
     MINRES, a zero residual or a degraded step).  ``precond`` None means no
-    preconditioner.  ``base`` is F at (U, x, t) when the caller already has
+    preconditioner.  ``base`` is F at (U, x) when the caller already has
     it; otherwise the step evaluates it, and a point whose own trajectory
     diverges raises :class:`TrajectoryDivergedError`.  An unknown solver
     raises ValueError before any evaluation.  A Krylov direction whose
@@ -566,9 +562,9 @@ def continuation_step(
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")
     if base is None:
-        base = optimality_residual(spec, U, x, t)
+        base = optimality_residual(spec, U, x)
     norm_F = _norm(base)
-    op = difference_operator(spec, U, x, t, fd_step, base=base)
+    op = difference_operator(spec, U, x, fd_step, base=base)
     solve = gmres if solver == "gmres" else minres
     try:
         result = solve(op, precond, -base / fd_step, k_max=k_max, tol=tol)
@@ -613,10 +609,10 @@ def _shifted(A: np.ndarray) -> np.ndarray:
     return A + 1e-10 * float(np.linalg.norm(A)) * np.eye(A.shape[0])
 
 
-def _scored(spec: OcpSpec, U: DecisionVector, x0: np.ndarray, t0: float):
+def _scored(spec: OcpSpec, U: DecisionVector, x0: np.ndarray):
     """(F(U), its norm); (None, inf) where the trajectory of U diverges."""
     try:
-        F = optimality_residual(spec, U, x0, t0)
+        F = optimality_residual(spec, U, x0)
     except TrajectoryDivergedError:
         return None, float("inf")
     return F, _norm(F)
@@ -626,9 +622,7 @@ def _stuck(cause: str, U: DecisionVector, norm: float) -> ColdStartError:
     return ColdStartError(f"{cause} in cold start (residual norm {norm:.3e})", U, norm)
 
 
-def _backtrack(
-    spec: OcpSpec, U: DecisionVector, delta: np.ndarray, x0: np.ndarray, t0: float, norm: float
-):
+def _backtrack(spec: OcpSpec, U: DecisionVector, delta: np.ndarray, x0: np.ndarray, norm: float):
     """First of the steps U + delta * 2**-k, k = 0..20, whose residual norm is
     below ``norm``, as (U_try, F, norm_try); None when none is.
 
@@ -641,10 +635,10 @@ def _backtrack(
     block = U.data[:, None] + delta[:, None] * _STEP_LENGTHS
     rows = block.T.copy()  # one contiguous trial per row
     try:
-        R = block_residual(spec, block, x0, t0).T.copy()
+        R = block_residual(spec, block, x0).T.copy()
         scores = ((F, _norm(F)) for F in R)
     except TrajectoryDivergedError:
-        scores = (_scored(spec, DecisionVector(U.dims, z), x0, t0) for z in rows)
+        scores = (_scored(spec, DecisionVector(U.dims, z), x0) for z in rows)
     for z, (F, norm_try) in zip(rows, scores):
         if norm_try < norm:
             return DecisionVector(U.dims, z), F, norm_try
@@ -676,9 +670,9 @@ def initial_solve(
     x0: np.ndarray,
     t0: float,
     U_guess: DecisionVector,
-    tol_init: float = 1e-6,
-    max_newton: int = 50,
-    fd_step: float = 1e-5,
+    tol_init: float,
+    max_newton: int,
+    fd_step: float,
 ) -> InitialSolveResult:
     """Cold start: damped Newton solves of the stationarity system, on a
     ladder of horizons up to the spec's N.
@@ -699,7 +693,8 @@ def initial_solve(
     starting point); ``newton_iterations`` is the sum over the rungs.
     The result is the iterate of the full horizon and its residual norm,
     also when it is above ``tol_init``.  A guess on other dims than the
-    spec's raises ValueError.
+    spec's raises ValueError.  The start time ``t0`` is not read: the
+    horizon is normalized, and the benchmark passes it positionally.
 
     Each Newton iteration assembles the dense difference Jacobian with
     :func:`assemble_jacobian` (its residual column repeats the residual the
@@ -733,7 +728,7 @@ def initial_solve(
         # the coarse rungs share half the budget; the full horizon keeps the rest
         budget = max_newton if N == spec.dims.N else max_newton // 2
         try:
-            res = _newton(rung, x0, t0, U, tol_init, budget - iterations, fd_step)
+            res = _newton(rung, x0, U, tol_init, budget - iterations, fd_step)
         except ColdStartError as exc:
             if N == spec.dims.N:
                 raise
@@ -741,7 +736,7 @@ def initial_solve(
             raise ColdStartError(
                 f"{exc} on the rung N = {N} of the horizon ladder to N = {spec.dims.N}",
                 best,
-                _scored(spec, best, x0, t0)[1],
+                _scored(spec, best, x0)[1],
             ) from exc
         iterations += res.newton_iterations
         # a rung that stalls hands nothing up: the next one starts from the guess
@@ -752,7 +747,6 @@ def initial_solve(
 def _newton(
     spec: OcpSpec,
     x0: np.ndarray,
-    t0: float,
     U_guess: DecisionVector,
     tol_init: float,
     max_newton: int,
@@ -761,7 +755,7 @@ def _newton(
     """The damped Newton solve of one rung of :func:`initial_solve`."""
     U = U_guess.copy()
     try:
-        F = optimality_residual(spec, U, x0, t0)
+        F = optimality_residual(spec, U, x0)
     except TrajectoryDivergedError as exc:
         raise _stuck(f"non-finite trajectory of the guess ({exc})", U, math.inf) from exc
     norm = _norm(F)
@@ -770,7 +764,7 @@ def _newton(
         if norm <= tol_init:
             break
         try:
-            A = assemble_jacobian(spec, U, x0, t0, fd_step)[:, 1:]
+            A = assemble_jacobian(spec, U, x0, fd_step)[:, 1:]
         except TrajectoryDivergedError as exc:
             raise _stuck(f"failed Jacobian assembly ({exc})", U, norm) from exc
         if not np.isfinite(A).all():
@@ -786,7 +780,7 @@ def _newton(
             except SingularMatrixError as exc:
                 raise _stuck("singular Jacobian", U, norm) from exc
         iterations += 1
-        found = _backtrack(spec, U, delta, x0, t0, norm)
+        found = _backtrack(spec, U, delta, x0, norm)
         if found is None:
             break
         U, F, norm = found

@@ -90,21 +90,19 @@ def _start(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    k_max: Optional[int],
+    k_max: int,
     tol: float,
 ) -> tuple[Preconditioner, int, np.ndarray, np.ndarray]:
     """Checked arguments of a solve and its starting residuals.
 
-    Returns the preconditioner (the identity for None), the iteration cap
-    (the dimension for None), the initial residual r = b of the zero guess
-    and its preconditioned form T(r).
+    Returns the preconditioner (the identity for None), the iteration cap,
+    the initial residual r = b of the zero guess and its preconditioned
+    form T(r).
     """
     m = op.dim
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError(f"right-hand side must have length {m}")
-    if k_max is None:
-        k_max = m
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if tol < 0.0:
@@ -209,8 +207,8 @@ def gmres(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    k_max: Optional[int] = None,
-    tol: float = 1e-10,
+    k_max: int,
+    tol: float,
 ) -> KrylovResult:
     """Preconditioned GMRES without restarts.
 
@@ -274,8 +272,8 @@ def minres(
     op: LinearMap,
     precond: Optional[Preconditioner],
     b: np.ndarray,
-    k_max: Optional[int] = None,
-    tol: float = 1e-10,
+    k_max: int,
+    tol: float,
 ) -> KrylovResult:
     """Preconditioned MINRES via the three-term Lanczos recurrence.
 

@@ -83,13 +83,14 @@ def rebuild(
     x: np.ndarray,
     t: float,
     fd_step: float,
-    prev: Optional[PrecondState] = None,
+    prev: PrecondState,
 ) -> PrecondState:
     """Assemble and invert the difference Jacobian at the current point.
 
     One :func:`~cnmpc.continuation.assemble_jacobian` block yields both the
     residual at the current point, returned as ``residual``, and the
-    Jacobian.
+    Jacobian.  ``t`` is the time of the rebuild, recorded as ``built_at``,
+    and ``prev`` the state whose factors a failed rebuild keeps.
 
     An assembly whose block diverges, a Jacobian with non-finite entries or
     a singular factorization keeps the previous factors (a stale
@@ -100,9 +101,8 @@ def rebuild(
     current point itself diverged, so the step evaluates F there.  Any other
     error in the assembly is a bug and propagates.
     """
-    prev = prev if prev is not None else PrecondState()
     try:
-        R = assemble_jacobian(spec, U, x, t, fd_step)
+        R = assemble_jacobian(spec, U, x, fd_step)
     except TrajectoryDivergedError as exc:
         return _stale(prev, t, None, f"a failed Jacobian assembly ({exc})")
     residual, A = R[:, 0].copy(), R[:, 1:]

@@ -46,7 +46,6 @@ PRESETS: dict[int, dict] = {
     4: {"precond_enabled": True, "t_p": 0.4, "k_max": 10},
 }
 
-EXIT_USAGE = 2
 EXIT_COLD_START = 3
 
 
@@ -155,8 +154,9 @@ def run_simulation(
     step's secant pairs, records diagnostics, and propagates the
     state with a model Euler step (or the ``measure`` hook when supplied, for
     externally sourced states).  The run stops at target arrival: either the
-    distance to the goal falls below ``stop_radius`` or the time-to-go drops
-    below one sampling period; ``t_end`` is a safety cap with no arrival.
+    distance to the goal falls below ``stop_radius`` or a finite time-to-go
+    drops below one sampling period; ``t_end`` is a safety cap with no
+    arrival.
     Identical configs produce identical outputs.
     """
     cfg.validate()
@@ -194,14 +194,14 @@ def run_simulation(
         if math.hypot(x[0] - consts.x_f, x[1] - consts.y_f) <= cfg.stop_radius:
             arrival = t
             break
-        # a rebuild scores the residual at (U, x, t) in its Jacobian block;
+        # a rebuild scores the residual at (U, x) in its Jacobian block;
         # on every other step the continuation step evaluates it
         rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
         T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
         U, diag, pairs = continuation_step(
-            spec, U, x, t, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
+            spec, U, x, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
             precond=T, base=pstate.residual if rebuilt else None,
         )
         if T is not None and pairs is not None:
@@ -225,9 +225,10 @@ def run_simulation(
         )
         x_next = x + cfg.dt * plant_rate(consts, x, u_applied)
         x = measure(i, t + cfg.dt, x_next) if measure is not None else x_next
-        if float(U.p()[0]) <= cfg.dt:
+        if -math.inf < float(U.p()[0]) <= cfg.dt:
             # Horizon shorter than one sampling period: the goal is reached
-            # within the next step.
+            # within the next step.  A non-finite time-to-go is no arrival:
+            # the next step's state recursion diverges on it.
             arrival = t + cfg.dt
             break
         i += 1

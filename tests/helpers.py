@@ -18,6 +18,14 @@ from cnmpc.continuation import (
 )
 from cnmpc.krylov import KrylovResult, SingularMatrixError, dense_solve
 from cnmpc.mintime import problem_spec
+from cnmpc.simcli import SimConfig
+
+# The simulator's cold-start settings, as keywords of ``initial_solve``.
+COLD_START = {
+    "tol_init": SimConfig.cold_start_tol,
+    "max_newton": SimConfig.cold_start_max_newton,
+    "fd_step": SimConfig.h,
+}
 
 
 def forward_states(spec, x0, U):
@@ -210,11 +218,10 @@ def threshold_spec(blow_up, limit, n_steps=3):
     return spec
 
 
-def sequential_initial_solve(
-    spec, x0, t0, U_guess, tol_init=1e-6, max_newton=50, fd_step=1e-5
-):
+def sequential_initial_solve(spec, x0, t0, U_guess, tol_init, max_newton, fd_step):
     """Independent oracle: the cold start's horizon ladder, each rung a damped
-    Newton solve with its backtracking written as a loop.
+    Newton solve with its backtracking written as a loop.  It takes the
+    arguments of ``initial_solve``, and like it does not read ``t0``.
 
     The rungs are N halved (rounding down) while the half has at least 10
     stages, then back up to N; a horizon below 20 stages is its only rung.
@@ -235,7 +242,7 @@ def sequential_initial_solve(
             U = stagewise_resample(U, dims)
         cap = max_newton if N == spec.dims.N else max_newton // 2
         res = sequential_newton(
-            dataclasses.replace(spec, dims=dims), x0, t0, U, tol_init, cap - iterations, fd_step
+            dataclasses.replace(spec, dims=dims), x0, U, tol_init, cap - iterations, fd_step
         )
         U = res.U if res.residual_norm <= tol_init else U_guess
         iterations += res.newton_iterations
@@ -255,7 +262,7 @@ def stagewise_resample(U, dims):
     return out
 
 
-def sequential_newton(spec, x0, t0, U_guess, tol_init, max_newton, fd_step):
+def sequential_newton(spec, x0, U_guess, tol_init, max_newton, fd_step):
     """One rung of :func:`sequential_initial_solve`, one residual evaluation
     per trial step.
 
@@ -264,14 +271,14 @@ def sequential_newton(spec, x0, t0, U_guess, tol_init, max_newton, fd_step):
     counts as infinite); it stops when none does.
     """
     U = U_guess.copy()
-    F = optimality_residual(spec, U, x0, t0)
+    F = optimality_residual(spec, U, x0)
     norm = float(np.linalg.norm(F))
     m = spec.dims.decision_size
     iterations = 0
     for _ in range(max_newton):
         if norm <= tol_init:
             break
-        op = difference_operator(spec, U, x0, t0, fd_step, F)
+        op = difference_operator(spec, U, x0, fd_step, F)
         A = np.column_stack([op.apply(e) for e in np.eye(m)])
         try:
             delta = dense_solve(A, -F)
@@ -286,7 +293,7 @@ def sequential_newton(spec, x0, t0, U_guess, tol_init, max_newton, fd_step):
         for _ in range(21):
             U_try = DecisionVector(U.dims, U.data + alpha * delta)
             try:
-                F_try = optimality_residual(spec, U_try, x0, t0)
+                F_try = optimality_residual(spec, U_try, x0)
                 norm_try = float(np.linalg.norm(F_try))
             except TrajectoryDivergedError:
                 norm_try = float("inf")
@@ -529,7 +536,7 @@ def numpy_scalar_hessenberg_lsq(H, beta):
     return y, lsq.residual, deficient
 
 
-def numpy_scalar_gmres(op, precond, b, k_max=None, tol=1e-10):
+def numpy_scalar_gmres(op, precond, b, k_max, tol):
     """Independent oracle: the GMRES loop with its Hessenberg column built by
     ``np.append``, every operator and preconditioner value converted with
     ``np.asarray``, and the rotations of :class:`NumpyScalarHessenbergLsq`."""

@@ -91,7 +91,7 @@ def test_criterion_7_residual_gradient_oracle(consts, spec10):
         U = random_decision(spec10.dims, seed=seed)
         rng = np.random.default_rng(20_000 + seed)
         x0 = rng.uniform(-0.5, 0.5, 2)
-        F = optimality_residual(spec10, U, x0, 0.0)
+        F = optimality_residual(spec10, U, x0)
         oracle = central_residual_oracle(consts, 10, U, x0, step=1e-4)
         worst = max(worst, float(np.max(np.abs(F - oracle))))
     ok = worst <= 1e-6
@@ -135,7 +135,7 @@ def test_criterion_9_symmetry_scaling(consts, spec10):
     U = initial_guess(consts, 10)
 
     def asym(h):
-        A = assemble_jacobian(spec10, U, consts.start, 0.0, h)[:, 1:]
+        A = assemble_jacobian(spec10, U, consts.start, h)[:, 1:]
         return np.linalg.norm(A - A.T) / np.linalg.norm(A)
 
     ratio = asym(1e-5) / asym(1e-6)
@@ -145,10 +145,10 @@ def test_criterion_9_symmetry_scaling(consts, spec10):
 
 def test_criterion_10_determinism(tmp_path, consts, spec10):
     U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
+    base = optimality_residual(spec10, U, consts.start)
+    op = difference_operator(spec10, U, consts.start, 1e-5, base)
     columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
-    jac_ok = np.array_equal(assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)[:, 1:], columns)
+    jac_ok = np.array_equal(assemble_jacobian(spec10, U, consts.start, 1e-5)[:, 1:], columns)
     paths = []
     for tag in ("a", "b"):
         result = run_simulation(SimConfig(case_preset=2, **PRESETS[2]))

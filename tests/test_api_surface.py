@@ -1,10 +1,15 @@
-"""Guard: every public name of the package has a caller outside the tests.
+"""Guards on the package's public surface.
 
-A name in a module's ``__all__`` must appear as a code word (a name token,
-not a string or a comment) in ``src/cnmpc``, ``perfbench/*.py`` or
-``scripts/*.py``.  Its own ``def``/``class`` line, the ``__all__`` entries
-(strings) and import statements do not count: an import alone calls nothing.
-A name that only the tests use belongs in the tests.
+Every public name has a caller outside the tests: a name in a module's
+``__all__`` must appear as a code word (a name token, not a string or a
+comment) in ``src/cnmpc``, ``perfbench/*.py`` or ``scripts/*.py``.  Its own
+``def``/``class`` line, the ``__all__`` entries (strings) and import
+statements do not count: an import alone calls nothing.  A name that only
+the tests use belongs in the tests.
+
+Every public function reads every parameter: each one is loaded somewhere
+in the function's body, nested functions included, except the few that the
+benchmark's call shapes pin.
 """
 
 import ast
@@ -56,6 +61,43 @@ def _public_names() -> list[tuple[str, str]]:
 @pytest.fixture(scope="module")
 def used() -> set[str]:
     return set().union(*(_uses(path) for path in _sources()))
+
+
+# (function, parameter) pairs that stay unread, each pinned by a call shape
+# of the benchmark, which passes the argument positionally
+UNREAD_PARAMETERS = {
+    ("continuation.optimality_residual", "t"): "perfbench/workloads.py:275",
+    ("continuation.initial_solve", "t0"): "perfbench/workloads.py:255-259",
+}
+
+
+def _unread_parameters(module: str) -> set[tuple[str, str]]:
+    """(module.function, parameter) for each parameter of a public function
+    of ``module`` that its body never loads."""
+    path = ROOT / "src" / "cnmpc" / f"{module}.py"
+    public = set(importlib.import_module(f"cnmpc.{module}").__all__)
+    unread = set()
+    for node in ast.parse(path.read_text()).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in public):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        loaded = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread.update((f"{module}.{node.name}", p.arg) for p in params if p.arg not in loaded)
+    return unread
+
+
+def test_every_public_function_reads_every_parameter():
+    unread = set().union(*(_unread_parameters(module) for module in MODULES))
+    assert unread == set(UNREAD_PARAMETERS), (
+        f"unread parameters: {sorted(unread - set(UNREAD_PARAMETERS))}; "
+        f"allowed but read or gone: {sorted(set(UNREAD_PARAMETERS) - unread)}"
+    )
 
 
 def test_every_public_name_has_a_caller_outside_the_tests(used):

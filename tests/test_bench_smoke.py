@@ -22,6 +22,7 @@ from cnmpc.continuation import (
 from cnmpc.krylov import dense_solve, lu_factor, lu_solve
 from cnmpc.mintime import initial_guess, problem_spec
 from cnmpc.simcli import PRESETS, SimConfig
+from helpers import COLD_START
 
 EPS = np.finfo(float).eps
 SMOKE = pytest.mark.benchmark(max_time=0.2, min_rounds=5)
@@ -47,7 +48,7 @@ def test_bench_block_residual_halving_block(benchmark, consts):
     # step at N = 40 and its halvings 1 to 20 times
     spec = problem_spec(consts, 40)
     U = initial_guess(consts, 40)
-    assembly = assemble_jacobian(spec, U, consts.start, 0.0, 1e-5)
+    assembly = assemble_jacobian(spec, U, consts.start, 1e-5)
     delta = dense_solve(assembly[:, 1:], -assembly[:, 0])
     Z = U.data[:, None] + delta[:, None] * 0.5 ** np.arange(21)
     R = benchmark(block_residual, spec, Z, consts.start)
@@ -61,7 +62,7 @@ def test_bench_block_residual_halving_block(benchmark, consts):
 @SMOKE
 def test_bench_lu_factor_and_solve(benchmark, consts, spec10):
     U = initial_guess(consts, 10)
-    A = assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)[:, 1:]
+    A = assemble_jacobian(spec10, U, consts.start, 1e-5)[:, 1:]
     r = np.random.default_rng(3).standard_normal(33)
 
     def factor_and_apply():
@@ -77,11 +78,11 @@ def test_bench_case_one_step(benchmark, consts, spec10):
     # the first step of the canonical case-1 loop: GMRES with k_max = 10 and
     # no preconditioner on the difference operator at the cold-start solution
     cfg = SimConfig(case_preset=1, **PRESETS[1])
-    U = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10)).U
+    U = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START).U
 
     def step():
         return continuation_step(
-            spec10, U, consts.start, 0.0, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
+            spec10, U, consts.start, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
             solver=cfg.solver,
         )
 

@@ -25,6 +25,7 @@ from cnmpc.continuation import (
 from cnmpc.krylov import IndefinitePreconditionerError, lu_factor, lu_solve
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_dims, problem_spec
 from helpers import (
+    COLD_START,
     backward_costates,
     central_residual_oracle,
     forward_states,
@@ -192,8 +193,10 @@ def test_recursions_cover_the_horizon_grid(consts, spec10):
 def test_residual_zero_at_stationary_point():
     spec = quadratic_spec()
     U = DecisionVector.zeros(spec.dims)
-    res = initial_solve(spec, np.array([1.0]), 0.0, U, tol_init=1e-12, max_newton=5)
-    F = optimality_residual(spec, res.U, np.array([1.0]), 0.0)
+    res = initial_solve(
+        spec, np.array([1.0]), 0.0, U, **{**COLD_START, "tol_init": 1e-12, "max_newton": 5}
+    )
+    F = optimality_residual(spec, res.U, np.array([1.0]))
     assert np.linalg.norm(F) <= 1e-11
 
 
@@ -203,7 +206,7 @@ def test_residual_matches_lagrangian_gradient_oracle(consts, spec10):
         U = random_decision(spec10.dims, seed=seed)
         rng = np.random.default_rng(10_000 + seed)
         x0 = rng.uniform(-0.5, 0.5, 2)
-        F = optimality_residual(spec10, U, x0, 0.0)
+        F = optimality_residual(spec10, U, x0)
         oracle = central_residual_oracle(consts, 10, U, x0)
         worst = max(worst, float(np.max(np.abs(F - oracle))))
     assert worst <= 1e-6
@@ -212,8 +215,8 @@ def test_residual_matches_lagrangian_gradient_oracle(consts, spec10):
 def test_residual_deterministic_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
     x0 = consts.start
-    a = optimality_residual(spec10, U, x0, 0.0)
-    b = optimality_residual(spec10, U, x0, 0.0)
+    a = optimality_residual(spec10, U, x0)
+    b = optimality_residual(spec10, U, x0)
     assert np.all(np.isfinite(a))
     assert np.array_equal(a, b)
 
@@ -344,13 +347,13 @@ def test_stage_terms_run_once_per_block_residual_in_a_cold_start(consts):
         counts["stage_terms"] += 1
         return stage_terms(tau, u, p)
 
-    def counted_residual(spec_, Z, x, t=0.0):
+    def counted_residual(spec_, Z, x):
         counts["block_residual"] += 1
-        return original(spec_, Z, x, t)
+        return original(spec_, Z, x)
 
     spied = dataclasses.replace(spec, stage_terms=counted_terms)
     with mock.patch.object(continuation, "block_residual", counted_residual):
-        initial_solve(spied, consts.start, 0.0, initial_guess(consts, 10))
+        initial_solve(spied, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
     assert counts["block_residual"] > 1
     assert counts["stage_terms"] == counts["block_residual"]
 
@@ -518,7 +521,7 @@ def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
 def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
     U = initial_guess(consts, 10)
     with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
-        _, diag, _ = continuation_step(spec10, U, consts.start, 0.0, **STEP)
+        _, diag, _ = continuation_step(spec10, U, consts.start, **STEP)
     assert diag.norm_F == 12.5
     assert norm.call_count == 1
 
@@ -529,8 +532,8 @@ def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
 
 def test_difference_operator_vanishes_at_zero(consts, spec10):
     U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
+    base = optimality_residual(spec10, U, consts.start)
+    op = difference_operator(spec10, U, consts.start, 1e-5, base)
     assert np.all(op.apply(np.zeros(op.dim)) == 0.0)
 
 
@@ -539,10 +542,10 @@ def test_difference_operator_linearity_defect_scales_with_step(consts, spec10):
     rng = np.random.default_rng(5)
     v1 = rng.standard_normal(spec10.dims.decision_size)
     v2 = rng.standard_normal(spec10.dims.decision_size)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
+    base = optimality_residual(spec10, U, consts.start)
 
     def defect(step):
-        op = difference_operator(spec10, U, consts.start, 0.0, step, base)
+        op = difference_operator(spec10, U, consts.start, step, base)
         return np.linalg.norm(op.apply(v1 + v2) - op.apply(v1) - op.apply(v2))
 
     ratio = defect(1e-4) / defect(1e-5)
@@ -553,7 +556,7 @@ def test_difference_operator_exact_for_affine_residual():
     spec = quadratic_spec()
     U = DecisionVector(spec.dims, np.array([0.4, -0.2, 0.8]))
     x0 = np.array([1.0])
-    op = difference_operator(spec, U, x0, 0.0, 1e-5, optimality_residual(spec, U, x0, 0.0))
+    op = difference_operator(spec, U, x0, 1e-5, optimality_residual(spec, U, x0))
     rng = np.random.default_rng(8)
     v1, v2 = rng.standard_normal((2, 3))
     defect = op.apply(v1 + v2) - op.apply(v1) - op.apply(v2)
@@ -569,7 +572,7 @@ def test_assemble_jacobian_recovers_exact_matrix():
     rng = np.random.default_rng(15)
     M = rng.standard_normal((7, 7))
     spec = linear_spec(M)
-    R = assemble_jacobian(spec, DecisionVector.zeros(spec.dims), np.zeros(1), 0.0, 1e-5)
+    R = assemble_jacobian(spec, DecisionVector.zeros(spec.dims), np.zeros(1), 1e-5)
     assert np.all(R[:, 0] == 0.0)
     assert np.allclose(R[:, 1:], M, atol=1e-14)
 
@@ -578,7 +581,7 @@ def test_assemble_jacobian_matches_central_difference(consts, spec10):
     U = initial_guess(consts, 10)
     x0 = consts.start
     h = 1e-5
-    A = assemble_jacobian(spec10, U, x0, 0.0, h)[:, 1:]
+    A = assemble_jacobian(spec10, U, x0, h)[:, 1:]
     m = spec10.dims.decision_size
     C = np.empty((m, m))
     for j in range(m):
@@ -587,7 +590,7 @@ def test_assemble_jacobian_matches_central_difference(consts, spec10):
         Up = DecisionVector(spec10.dims, U.data + e)
         Um = DecisionVector(spec10.dims, U.data - e)
         C[:, j] = (
-            optimality_residual(spec10, Up, x0, 0.0) - optimality_residual(spec10, Um, x0, 0.0)
+            optimality_residual(spec10, Up, x0) - optimality_residual(spec10, Um, x0)
         ) / 2e-4
     assert np.max(np.abs(A - C)) <= 10 * h
 
@@ -603,10 +606,10 @@ def test_assemble_jacobian_consistency_improves_with_step(consts, spec10):
         Up = DecisionVector(spec10.dims, U.data + e)
         Um = DecisionVector(spec10.dims, U.data - e)
         C[:, j] = (
-            optimality_residual(spec10, Up, x0, 0.0) - optimality_residual(spec10, Um, x0, 0.0)
+            optimality_residual(spec10, Up, x0) - optimality_residual(spec10, Um, x0)
         ) / 2e-4
     err = {
-        h: np.linalg.norm(assemble_jacobian(spec10, U, x0, 0.0, h)[:, 1:] - C)
+        h: np.linalg.norm(assemble_jacobian(spec10, U, x0, h)[:, 1:] - C)
         for h in (1e-5, 1e-6)
     }
     ratio = err[1e-5] / err[1e-6]
@@ -615,10 +618,10 @@ def test_assemble_jacobian_consistency_improves_with_step(consts, spec10):
 
 def test_assemble_jacobian_equals_column_applies_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
-    op = difference_operator(spec10, U, consts.start, 0.0, 1e-5, base)
+    base = optimality_residual(spec10, U, consts.start)
+    op = difference_operator(spec10, U, consts.start, 1e-5, base)
     columns = np.column_stack([op.apply(e) for e in np.eye(op.dim)])
-    R = assemble_jacobian(spec10, U, consts.start, 0.0, 1e-5)
+    R = assemble_jacobian(spec10, U, consts.start, 1e-5)
     assert R.shape == (op.dim, op.dim + 1)
     assert np.array_equal(R[:, 0], base)
     assert np.array_equal(R[:, 1:], columns)
@@ -638,7 +641,7 @@ def test_assemble_jacobian_names_the_diverging_column(N, data):
     z = np.full(N, -1.0)
     z[j] = 0.5  # only a unit step along control j crosses the threshold
     with pytest.raises(TrajectoryDivergedError) as err:
-        assemble_jacobian(spec, DecisionVector(spec.dims, z), np.array([1.0]), 0.0, 1.0)
+        assemble_jacobian(spec, DecisionVector(spec.dims, z), np.array([1.0]), 1.0)
     # column j's state is the first to diverge, right after stage j
     assert err.value.kind == "state"
     assert err.value.step == j + 1
@@ -648,7 +651,7 @@ def test_symmetry_defect_scales_with_step(consts, spec10):
     U = initial_guess(consts, 10)
 
     def asym(h):
-        A = assemble_jacobian(spec10, U, consts.start, 0.0, h)[:, 1:]
+        A = assemble_jacobian(spec10, U, consts.start, h)[:, 1:]
         return np.linalg.norm(A - A.T) / np.linalg.norm(A)
 
     ratio = asym(1e-5) / asym(1e-6)
@@ -662,9 +665,10 @@ def test_symmetry_defect_scales_with_step(consts, spec10):
 def test_continuation_step_zero_residual_is_identity():
     spec = quadratic_spec()
     x0 = np.array([1.0])
-    stationary = initial_solve(spec, x0, 0.0, DecisionVector.zeros(spec.dims), tol_init=1e-13).U
+    zero = DecisionVector.zeros(spec.dims)
+    stationary = initial_solve(spec, x0, 0.0, zero, **{**COLD_START, "tol_init": 1e-13}).U
     settings = {**STEP, "k_max": 3, "tol": 1e-8}
-    U_next, diag, _ = continuation_step(spec, stationary, x0, 0.0, **settings)
+    U_next, diag, _ = continuation_step(spec, stationary, x0, **settings)
     assert diag.norm_F <= 1e-12
     assert np.allclose(U_next.data, stationary.data, atol=1e-9)
     assert diag.iterations == 0 or diag.converged
@@ -674,13 +678,13 @@ def test_continuation_step_affine_newton_exact():
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
-    A = assemble_jacobian(spec, U, x0, 0.0, 1e-6)[:, 1:]
+    A = assemble_jacobian(spec, U, x0, 1e-6)[:, 1:]
     factors = lu_factor(A)
     U_next, diag, _ = continuation_step(
-        spec, U, x0, 0.0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
+        spec, U, x0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
         precond=lambda r: lu_solve(factors, r),
     )
-    F_after = optimality_residual(spec, U_next, x0, 0.0)
+    F_after = optimality_residual(spec, U_next, x0)
     assert np.linalg.norm(F_after) <= 1e-8
     assert diag.iterations <= 2
 
@@ -694,7 +698,7 @@ def test_continuation_step_propagates_indefinite_preconditioner():
     before = U.data.copy()
     settings = {**STEP, "solver": "minres", "k_max": 3, "tol": 1e-8}
     with pytest.raises(IndefinitePreconditionerError):
-        continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: -r)
+        continuation_step(spec, U, x0, **settings, precond=lambda r: -r)
     assert np.array_equal(U.data, before)
 
 
@@ -702,7 +706,7 @@ def test_continuation_step_rejects_unknown_solver_before_evaluating(consts, spec
     U = initial_guess(consts, 10)
     with mock.patch.object(continuation, "block_residual") as residual:
         with pytest.raises(ValueError, match="unknown solver 'cg'"):
-            continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "solver": "cg"})
+            continuation_step(spec10, U, consts.start, **{**STEP, "solver": "cg"})
     assert residual.call_count == 0
 
 
@@ -714,16 +718,16 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
     before = U.data.copy()
     settings = {**STEP, "solver": solver, "k_max": 3, "tol": 1e-8}
     with pytest.raises(ValueError):
-        continuation_step(spec, U, x0, 0.0, **settings, precond=lambda r: r[:-1])
+        continuation_step(spec, U, x0, **settings, precond=lambda r: r[:-1])
     assert np.array_equal(U.data, before)
 
 
 def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start, 0.0)
-    own, diag_own, pairs_own = continuation_step(spec10, U, consts.start, 0.0, **STEP)
+    base = optimality_residual(spec10, U, consts.start)
+    own, diag_own, pairs_own = continuation_step(spec10, U, consts.start, **STEP)
     given_base, diag_given, pairs_given = continuation_step(
-        spec10, U, consts.start, 0.0, **STEP, base=base
+        spec10, U, consts.start, **STEP, base=base
     )
     assert np.array_equal(own.data, given_base.data)
     assert diag_own == diag_given
@@ -736,7 +740,7 @@ def test_continuation_step_survives_diverging_krylov_direction():
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     with np.errstate(over="ignore"):
         settings = {**STEP, "k_max": 3, "tol": 1e-8}
-        U_next, diag, pairs = continuation_step(spec, U, x0, 0.0, **settings)
+        U_next, diag, pairs = continuation_step(spec, U, x0, **settings)
     assert math.isfinite(diag.norm_F) and diag.norm_F > 0.0
     assert diag.breakdown and diag.degraded and not diag.converged
     assert diag.iterations == 0 and diag.krylov_residual == math.inf
@@ -746,7 +750,7 @@ def test_continuation_step_survives_diverging_krylov_direction():
 
 def test_step_diagnostics_fields(consts, spec10):
     U = initial_guess(consts, 10)
-    U_next, diag, _ = continuation_step(spec10, U, consts.start, 0.0, **{**STEP, "k_max": 5})
+    U_next, diag, _ = continuation_step(spec10, U, consts.start, **{**STEP, "k_max": 5})
     assert U_next.dims == U.dims
     assert not np.array_equal(U_next.data, U.data)
     assert diag.iterations <= 5
@@ -761,8 +765,9 @@ def test_step_diagnostics_fields(consts, spec10):
 def test_initial_solve_accepts_converged_guess():
     spec = quadratic_spec()
     x0 = np.array([1.0])
-    stationary = initial_solve(spec, x0, 0.0, DecisionVector.zeros(spec.dims), tol_init=1e-12).U
-    res = initial_solve(spec, x0, 0.0, stationary, tol_init=1e-6)
+    zero = DecisionVector.zeros(spec.dims)
+    stationary = initial_solve(spec, x0, 0.0, zero, **{**COLD_START, "tol_init": 1e-12}).U
+    res = initial_solve(spec, x0, 0.0, stationary, **COLD_START)
     assert res.newton_iterations == 0
     assert np.array_equal(res.U.data, stationary.data)
 
@@ -771,16 +776,15 @@ def test_initial_solve_affine_one_step():
     # one exact Newton step up to the difference-quotient rounding floor
     spec = quadratic_spec()
     res = initial_solve(
-        spec, np.array([2.0]), 0.0, DecisionVector.zeros(spec.dims), tol_init=1e-8
+        spec, np.array([2.0]), 0.0, DecisionVector.zeros(spec.dims),
+        **{**COLD_START, "tol_init": 1e-8},
     )
     assert res.newton_iterations == 1
     assert res.residual_norm <= 1e-8
 
 
 def test_initial_solve_mintime_documented_guess(consts, spec10):
-    res = initial_solve(
-        spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6, max_newton=50
-    )
+    res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
     assert res.residual_norm <= 1e-6
     assert res.newton_iterations <= 50
 
@@ -798,7 +802,9 @@ def test_initial_solve_shift_retry_rescues_singular_jacobian():
     # Jacobian is singular and only the diagonal-shift retry can proceed
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([2.0, 1.0]))
-    res = initial_solve(spec, np.zeros(1), 0.0, U, tol_init=1e-8, max_newton=5)
+    res = initial_solve(
+        spec, np.zeros(1), 0.0, U, **{**COLD_START, "tol_init": 1e-8, "max_newton": 5}
+    )
     assert res.residual_norm <= 1e-8
 
 
@@ -814,14 +820,16 @@ def test_initial_solve_persistent_singularity_raises_with_best():
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([2.0]))
     with pytest.raises(ColdStartError) as err:
-        initial_solve(spec, np.zeros(1), 0.0, U, tol_init=1e-10, max_newton=3)
+        initial_solve(
+            spec, np.zeros(1), 0.0, U, **{**COLD_START, "tol_init": 1e-10, "max_newton": 3}
+        )
     assert err.value.best is not None
 
 
 def _solve_outcome(solve, spec, x0, U, **kw):
     """Bitwise outcome of a cold start: the iterate's bytes, the residual
     norm and the iteration count."""
-    res = solve(spec, x0, 0.0, U, **kw)
+    res = solve(spec, x0, 0.0, U, **{**COLD_START, **kw})
     return res.U.data.tobytes(), res.residual_norm, res.newton_iterations
 
 
@@ -898,12 +906,12 @@ def test_stalled_cold_start_scores_halvings_in_blocks():
     shapes = []
     original = continuation.block_residual
 
-    def spy(spec_, Z, x, t=0.0):
+    def spy(spec_, Z, x):
         shapes.append(np.shape(Z))
-        return original(spec_, Z, x, t)
+        return original(spec_, Z, x)
 
     with mock.patch.object(continuation, "block_residual", spy):
-        res = initial_solve(spec, c.start, 0.0, initial_guess(c, 20))
+        res = initial_solve(spec, c.start, 0.0, initial_guess(c, 20), **COLD_START)
     assert res.residual_norm > 1e-6  # the stall
     rungs = _rung_blocks(shapes)
     sizes = [problem_dims(N).decision_size for N in (10, 20)]
@@ -931,7 +939,7 @@ def test_canonical_cold_start_converges_on_long_horizons(consts, N):
         return R
 
     with mock.patch.object(continuation, "assemble_jacobian", spy):
-        res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, N))
+        res = initial_solve(spec, consts.start, 0.0, initial_guess(consts, N), **COLD_START)
     rungs = [n for n in (10, 20, 40, 80) if n <= N]
     sizes = [problem_dims(n).decision_size for n in rungs]
     assert [blocks[0] for blocks in _rung_blocks(columns)] == [(m, m + 1) for m in sizes]
@@ -979,14 +987,15 @@ def test_initial_solve_backtracks_past_broken_trials(blow_up, N, fraction):
     # ladder; a rung that fails reports the error at the caller's horizon.
     x0 = np.array([1.0])
     zero = DecisionVector.zeros(quadratic_spec(N).dims)
-    solution = initial_solve(quadratic_spec(N), x0, 0.0, zero, tol_init=1e-12).U.data
+    cold = {**COLD_START, "tol_init": 1e-12}
+    solution = initial_solve(quadratic_spec(N), x0, 0.0, zero, **cold).U.data
     spec = threshold_spec(blow_up, fraction * np.max(np.abs(solution)), N)
     broken = []
     original = continuation.block_residual
 
-    def spy(spec_, Z, x, t=0.0):
+    def spy(spec_, Z, x):
         try:
-            R = original(spec_, Z, x, t)
+            R = original(spec_, Z, x)
         except TrajectoryDivergedError:
             broken.append(np.ndim(Z))
             raise
@@ -1030,7 +1039,7 @@ def test_initial_solve_diverging_guess_raises_cold_start_error():
         ColdStartError,
         match=r"non-finite trajectory of the guess \(state recursion diverged at horizon step 1\)",
     ) as err:
-        initial_solve(spec, np.array([1.0]), 0.0, guess)
+        initial_solve(spec, np.array([1.0]), 0.0, guess, **COLD_START)
     assert np.array_equal(err.value.best.data, guess.data)
     assert err.value.residual_norm == math.inf
 
@@ -1044,7 +1053,7 @@ def test_initial_solve_broken_jacobian_raises_cold_start_error(blow_up):
     x0 = np.array([0.5])
     norm = float(np.linalg.norm(optimality_residual(spec, guess, x0)))
     with np.errstate(over="ignore"), pytest.raises(ColdStartError) as err:
-        initial_solve(spec, x0, 0.0, guess)
+        initial_solve(spec, x0, 0.0, guess, **COLD_START)
     assert np.array_equal(err.value.best.data, guess.data)
     assert err.value.residual_norm == norm
 
@@ -1059,13 +1068,13 @@ def test_initial_solve_diverging_assembly_costs_one_block():
     blocks = []
     original = continuation.block_residual
 
-    def spy(spec_, Z, x, t=0.0):
+    def spy(spec_, Z, x):
         blocks.append(np.ndim(Z))
-        return original(spec_, Z, x, t)
+        return original(spec_, Z, x)
 
     with mock.patch.object(continuation, "block_residual", spy):
         with pytest.raises(ColdStartError, match="state recursion diverged at horizon step 1"):
-            initial_solve(spec, x0, 0.0, guess)
+            initial_solve(spec, x0, 0.0, guess, **COLD_START)
     assert blocks == [1, 2]  # the guess's residual, then the assembly block
 
 
@@ -1083,7 +1092,7 @@ def test_initial_solve_non_finite_shift_raises_cold_start_error():
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     guess = DecisionVector(dims, np.array([2.0, 1.0]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ColdStartError) as err:
-        initial_solve(spec, np.zeros(1), 0.0, guess)
+        initial_solve(spec, np.zeros(1), 0.0, guess, **COLD_START)
     assert np.array_equal(err.value.best.data, guess.data)
 
 
@@ -1118,7 +1127,7 @@ def test_coarse_rung_failure_reports_at_the_callers_horizon(make, value, cause, 
     x0 = np.array([1.0])
     guess = DecisionVector(spec.dims, np.full(N, value))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ColdStartError) as err:
-        initial_solve(spec, x0, 0.0, guess, tol_init=1e-10)
+        initial_solve(spec, x0, 0.0, guess, **{**COLD_START, "tol_init": 1e-10})
     message = str(err.value)
     assert message.startswith(cause)
     assert message.endswith(f"on the rung N = {rung} of the horizon ladder to N = {N}")
@@ -1136,4 +1145,7 @@ def test_coarse_rung_failure_reports_at_the_callers_horizon(make, value, cause, 
 @pytest.mark.parametrize("N, N_guess", [(10, 20), (20, 10), (40, 20)])
 def test_initial_solve_rejects_a_guess_on_another_horizon(consts, N, N_guess):
     with pytest.raises(ValueError, match="expected a guess on"):
-        initial_solve(problem_spec(consts, N), consts.start, 0.0, initial_guess(consts, N_guess))
+        initial_solve(
+            problem_spec(consts, N), consts.start, 0.0, initial_guess(consts, N_guess),
+            **COLD_START,
+        )

@@ -343,7 +343,7 @@ def _oracle_problem(kind, m, seed):
         U.data[:] += 0.01 * rng.standard_normal(U.data.size)
         spec = problem_spec(c, 10)
         F = optimality_residual(spec, U, c.start)
-        return difference_operator(spec, U, c.start, 0.0, 1e-5, F), -F / 1e-5
+        return difference_operator(spec, U, c.start, 1e-5, F), -F / 1e-5
     A = rng.standard_normal((m, m))
     if kind == "rank_one":
         A = np.outer(rng.standard_normal(m), rng.standard_normal(m))
@@ -417,8 +417,8 @@ def test_gmres_preconditioner_receives_the_stored_product():
 
 def test_solves_without_a_basis_return_no_pairs():
     A = np.diag([1.0, 2.0, 3.0])
-    assert gmres(matrix_map(A), None, np.zeros(3)).pairs is None
-    assert minres(matrix_map(A), None, np.ones(3)).pairs is None
+    assert gmres(matrix_map(A), None, np.zeros(3), k_max=3, tol=1e-10).pairs is None
+    assert minres(matrix_map(A), None, np.ones(3), k_max=3, tol=1e-10).pairs is None
 
 
 # ---------------------------------------------------------------------------

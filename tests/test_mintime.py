@@ -106,7 +106,7 @@ def test_residual_rows_match_engine_residual(consts, spec10):
         xs = forward_states(spec10, x0, U)
         lam = backward_costates(spec10, xs, U)
         direct = residual_rows(consts, U, xs, lam)
-        engine = optimality_residual(spec10, U, x0, 0.0)
+        engine = optimality_residual(spec10, U, x0)
         scale = np.max(np.abs(engine)) + 1.0
         assert np.max(np.abs(direct - engine)) <= 50 * np.finfo(float).eps * scale
 

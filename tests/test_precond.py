@@ -24,7 +24,7 @@ from cnmpc.krylov import LinearMap, SingularMatrixError, gmres, lu_factor
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from cnmpc.simcli import PRESETS, SimConfig, run_simulation
-from helpers import fragile_spec, random_decision, threshold_spec
+from helpers import COLD_START, fragile_spec, random_decision, threshold_spec
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +73,8 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
 
 
 def test_rebuild_mintime_factors(consts, spec10):
-    res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5)
+    res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
+    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, PrecondState())
     assert state.inverse.shape == (33, 33)
     assert state.built_at == 0.0
     assert not state.stale
@@ -82,8 +82,8 @@ def test_rebuild_mintime_factors(consts, spec10):
 
 def test_rebuild_deterministic_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
-    b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5)
+    a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, PrecondState())
+    b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, PrecondState())
     assert np.array_equal(a.inverse, b.inverse)
 
 
@@ -96,12 +96,12 @@ def test_rebuild_residual_and_columns_equal_single_evaluations(N, seed):
     spec = problem_spec(MinTimeConstants(), N)
     U = random_decision(spec.dims, seed)
     x = MinTimeConstants().start
-    state = precond.rebuild(spec, U, x, 0.0, 1e-5)
-    F = optimality_residual(spec, U, x, 0.0)
+    state = precond.rebuild(spec, U, x, 0.0, 1e-5, PrecondState())
+    F = optimality_residual(spec, U, x)
     assert np.array_equal(state.residual, F)
-    R = assemble_jacobian(spec, U, x, 0.0, 1e-5)
+    R = assemble_jacobian(spec, U, x, 1e-5)
     assert np.array_equal(R[:, 0], F)
-    op = difference_operator(spec, U, x, 0.0, 1e-5, F)
+    op = difference_operator(spec, U, x, 1e-5, F)
     for j, e in enumerate(np.eye(op.dim)):
         assert np.array_equal(R[:, j + 1], op.apply(e)), j
     assert np.array_equal(state.inverse, lu_factor(R[:, 1:]))
@@ -120,7 +120,7 @@ def test_rebuild_singular_keeps_previous_factors():
     U = DecisionVector(dims, np.array([1.0]))
     prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1)
     with pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, prev=prev)
+        state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -134,7 +134,7 @@ def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
     with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, prev=prev)
+        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -153,14 +153,14 @@ def test_rebuild_diverging_assembly_costs_one_block():
     calls = []
     original = continuation.block_residual
 
-    def spy(spec_, Z, x_, t=0.0):
+    def spy(spec_, Z, x_):
         calls.append(np.ndim(Z))
-        return original(spec_, Z, x_, t)
+        return original(spec_, Z, x_)
 
     with mock.patch.object(continuation, "block_residual", spy), pytest.warns(
         StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
     ):
-        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev=prev)
+        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev)
     assert calls == [2]
     assert state.residual is None
     assert state.stale
@@ -183,12 +183,12 @@ def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
     with pytest.warns(
         StalePreconditionerWarning, match=f"state recursion diverged at horizon step {j + 1}"
     ):
-        state = precond.rebuild(spec, U, x, 0.0, 1.0, prev=prev)
+        state = precond.rebuild(spec, U, x, 0.0, 1.0, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
     assert state.residual is None
-    assert np.isfinite(optimality_residual(spec, U, x, 0.0)).all()
+    assert np.isfinite(optimality_residual(spec, U, x)).all()
 
 
 def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, preset_results):
@@ -197,10 +197,12 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
     # left and evaluates the residual of the point, which equals the
     # undisturbed run's
     original = precond.assemble_jacobian
+    assemblies = []
 
-    def diverging_columns(spec, U, x, t, step):
-        if abs(t - 0.2) > 1e-9:
-            return original(spec, U, x, t, step)
+    def diverging_columns(spec, U, x, step):
+        assemblies.append(U)
+        if len(assemblies) != 2:  # the rebuilds are at t = 0 and t = 0.2
+            return original(spec, U, x, step)
         f = spec.f
 
         def f_broken(tau, x_, u, p, s):
@@ -208,7 +210,7 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
             out[:, 1:] = np.inf  # column 0 is the point itself
             return out
 
-        return original(dataclasses.replace(spec, f=f_broken), U, x, t, step)
+        return original(dataclasses.replace(spec, f=f_broken), U, x, step)
 
     used = []
     apply = precond.apply
@@ -308,9 +310,9 @@ def test_apply_is_linear(alpha, seed):
 
 
 def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
-    res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), tol_init=1e-6)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5)
-    A = assemble_jacobian(spec10, res.U, consts.start, 0.0, 1e-5)[:, 1:]
+    res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
+    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, PrecondState())
+    A = assemble_jacobian(spec10, res.U, consts.start, 1e-5)[:, 1:]
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
     out = gmres(

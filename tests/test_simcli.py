@@ -3,14 +3,19 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cnmpc
 from cnmpc import continuation, precond, simcli
-from cnmpc.continuation import ColdStartError
+from cnmpc.continuation import ColdStartError, TrajectoryDivergedError
+from cnmpc.precond import StalePreconditionerWarning
 from cnmpc.mintime import MinTimeConstants, problem_dims
 from cnmpc.simcli import (
     CSV_HEADER,
@@ -427,6 +432,41 @@ def test_kernel_calls_per_loop_step(monkeypatch, case):
     else:
         assert sum(r.rebuilt for r in records) > 1
         assert per_step == [2] * len(records)
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    case=st.sampled_from([1, 2]),
+    step=st.integers(min_value=1, max_value=45),
+    p=st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+@example(case=1, step=5, p=-math.inf)
+@example(case=2, step=5, p=-math.inf)
+@example(case=2, step=10, p=math.inf)
+def test_non_finite_time_to_go_is_no_arrival(case, step, p):
+    # the continuation step's call number ``step`` returns the time-to-go p;
+    # the loop must not count that as an arrival, and the next step's state
+    # recursion diverges on it (through a stale rebuild when one is due)
+    original = simcli.continuation_step
+    calls = []
+
+    def exploding(*args, **kwargs):
+        U, diag, pairs = original(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == step:
+            U.p()[:] = p
+        return U, diag, pairs
+
+    cfg = SimConfig(case_preset=case, **PRESETS[case])
+    with mock.patch.object(simcli, "continuation_step", exploding):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrajectoryDivergedError) as exc_info:
+                run_simulation(cfg)
+    assert (exc_info.value.kind, exc_info.value.step) == ("state", 1)
+    assert len(calls) == step
+    rebuild_next = cfg.precond_enabled and step % round(cfg.t_p / cfg.dt) == 0
+    assert [type(w.message) for w in caught] == [StalePreconditionerWarning] * rebuild_next
 
 
 def test_cold_start_failure_raises_with_residual():
