@@ -12,9 +12,11 @@ the medians exceeds the parent's interquartile range, plus every run.
 With ``--claim WORKLOAD:METRIC`` it also says whether the change wins at
 least nine tenths of the pairs with that gap, over the first ten pairs and
 over all of them.  With ``--trace-seeds`` it runs ``--trace 1`` on both
-sides at each seed, reports every check failure and every count metric on
-which the sides differ, and records the count metrics of the first seed
-before and after.
+sides at each seed and reports, per side, the outer-clock check failures
+apart from the other check failures, with a count of each per workload;
+``simcli.steps_over_dt`` of both sides; every other count metric on which
+the sides differ; and the count metrics of the first seed before and
+after.
 
 Usage:
     python3 scripts/bench_pairs.py --parent REF --out BENCH_x.json \\
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -36,6 +39,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNT_UNITS = ("count", "frac", "bytes")
+# The traced run's outer-clock check: its span wall against the clock around
+# the pass.  A host stall or a slow wrapper installation fails it with no
+# fault in the program under test.
+HOST_CLOCK_CHECK = re.compile(r"traced pass \d+: span wall \d+ ns, clock \d+ ns")
+# Counts steps slower than the sampling period, so host stalls move it too.
+HOST_TIMED_COUNT = "simcli.steps_over_dt"
 
 
 def archive(ref: str, into: Path) -> str:
@@ -197,35 +206,67 @@ def main(argv=None) -> int:
     return 0
 
 
+def counts(run: dict) -> dict:
+    """The count metrics of one ``bench`` output."""
+    return {k: v["value"] for k, v in run["metrics"].items() if v["unit"] in COUNT_UNITS}
+
+
+def traced_check(seed: int, got: dict) -> dict:
+    """One seed's traced runs of both sides (``bench`` outputs keyed
+    "parent" and "change"): each side's outer-clock check failures and its
+    other check failures, both sides' ``simcli.steps_over_dt``, and every
+    other count metric on which the sides differ, as [parent, change]."""
+    parent, change = counts(got["parent"]), counts(got["change"])
+    return {
+        "seed": seed,
+        "host_clock_errors": {
+            side: [e for e in r["errors"] if HOST_CLOCK_CHECK.fullmatch(e)]
+            for side, r in got.items()
+        },
+        "errors": {
+            side: [e for e in r["errors"] if not HOST_CLOCK_CHECK.fullmatch(e)]
+            for side, r in got.items()
+        },
+        HOST_TIMED_COUNT: {"parent": parent.get(HOST_TIMED_COUNT),
+                           "change": change.get(HOST_TIMED_COUNT)},
+        "counts_differ": {
+            k: [v, change.get(k)]
+            for k, v in parent.items() if k != HOST_TIMED_COUNT and change.get(k) != v
+        },
+    }
+
+
+def failure_counts(checks: list[dict]) -> dict:
+    """Per side, the outer-clock and the other check failures over ``checks``."""
+    return {
+        key: {side: sum(len(c[key][side]) for c in checks) for side in ("parent", "change")}
+        for key in ("host_clock_errors", "errors")
+    }
+
+
 def traced(sides: dict, workloads: list[str], seeds: list[int]) -> dict:
-    """``--trace 1`` on both sides at every seed: each side's check failures
-    and the count metrics on which the sides differ (``simcli.steps_over_dt``
-    counts steps slower than the sampling period, so host stalls move it);
-    the count metrics of the first seed before and after."""
+    """``--trace 1`` on both sides at every seed: :func:`traced_check` per
+    seed, the failure counts per workload, and the count metrics of the
+    first seed before and after."""
     out = {"command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 1",
            "seeds": seeds, "workloads": {}}
     for wl in workloads:
         checks, first = [], None
         for seed in seeds:
             got = {side: bench(tree, wl, seed, 1, 1) for side, tree in sides.items()}
-            counts = {
-                side: {k: v["value"] for k, v in r["metrics"].items() if v["unit"] in COUNT_UNITS}
-                for side, r in got.items()
-            }
-            checks.append({
-                "seed": seed,
-                "errors": {side: r["errors"] for side, r in got.items()},
-                "counts_differ": {
-                    k: [v, counts["change"].get(k)]
-                    for k, v in counts["parent"].items() if counts["change"].get(k) != v
-                },
-            })
+            checks.append(traced_check(seed, got))
             if first is None:
-                first = {k: {"before": counts["parent"][k], "after": counts["change"].get(k)}
-                         for k in counts["parent"]}
-            print(f"{wl} traced seed {seed}: errors {checks[-1]['errors']}, "
-                  f"counts differ {checks[-1]['counts_differ']}", flush=True)
-        out["workloads"][wl] = {f"counts_seed{seeds[0]}": first, "checks": checks}
+                before, after = counts(got["parent"]), counts(got["change"])
+                first = {k: {"before": v, "after": after.get(k)} for k, v in before.items()}
+            c = checks[-1]
+            print(f"{wl} traced seed {seed}: host clock {c['host_clock_errors']}, "
+                  f"errors {c['errors']}, {HOST_TIMED_COUNT} {c[HOST_TIMED_COUNT]}, "
+                  f"counts differ {c['counts_differ']}", flush=True)
+        out["workloads"][wl] = {
+            "failures": failure_counts(checks),
+            f"counts_seed{seeds[0]}": first,
+            "checks": checks,
+        }
     return out
 
 

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from cnmpc.simcli import PRESETS, SimConfig, compare_runs, run_simulation, run_totals, write_csv
+from cnmpc.simcli import PRESETS, SimConfig, compare_runs, run_simulation, write_csv
 
 
 def main(argv=None) -> int:
@@ -35,11 +35,12 @@ def main(argv=None) -> int:
         write_csv(res, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         arrival = f"{res.arrival_time:.4f} s" if res.arrival_time is not None else "none"
-        iterations, rebuild_evals = run_totals(res.records, res.decision_size)
+        iterations = sum(r.iterations for r in res.records)
+        rebuilds = sum(r.rebuilt for r in res.records)
         print(
             f"case {case}: {len(res.records):3d} steps, arrival {arrival}, "
-            f"{iterations:4d} solver evals, {rebuild_evals:4d} "
-            f"rebuild evals, {elapsed:.2f} s -> {path} sha256 {digest}"
+            f"{iterations:4d} solver iterations, {rebuilds:2d} preconditioner "
+            f"rebuilds, {elapsed:.2f} s -> {path} sha256 {digest}"
         )
 
     for base, cand in ((1, 2), (1, 3), (3, 4)):

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .krylov import (
+    KrylovResult,
     LinearMap,
     Preconditioner,
     SingularMatrixError,
@@ -28,7 +29,6 @@ __all__ = [
     "OcpDims",
     "OcpSpec",
     "DecisionVector",
-    "StepDiagnostics",
     "InitialSolveResult",
     "TrajectoryDivergedError",
     "ColdStartError",
@@ -513,23 +513,6 @@ def assemble_jacobian(spec: OcpSpec, U: DecisionVector, x: np.ndarray, step: flo
     return R
 
 
-@dataclass
-class StepDiagnostics:
-    """Per-step solver diagnostics returned by :func:`continuation_step`.
-
-    ``degraded`` marks the zero-update fallback after a solver failure.
-    Both solvers report a breakdown as converged, so ``breakdown`` without
-    ``degraded`` is a solution exact in its Krylov subspace.
-    """
-
-    norm_F: float
-    krylov_residual: float
-    iterations: int
-    converged: bool
-    breakdown: bool
-    degraded: bool
-
-
 def continuation_step(
     spec: OcpSpec,
     U: DecisionVector,
@@ -541,23 +524,24 @@ def continuation_step(
     solver: str,
     precond: Optional[Preconditioner] = None,
     base: Optional[np.ndarray] = None,
-) -> tuple[DecisionVector, StepDiagnostics, Optional[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[DecisionVector, float, Optional[KrylovResult]]:
     """Advance the tracked solution U by one sampling period.
 
     Solves a(W) = -F/h for the difference operator a at (U, x), with the
     difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
     ("gmres" or "minres") with at most ``k_max`` iterations to the relative
-    tolerance ``tol``, and returns the updated vector U + h*W, the step's
-    diagnostics and the solve's secant pairs ``(S, Y)`` with ``a(S) = Y``
-    column by column (:attr:`~cnmpc.krylov.KrylovResult.pairs`; None for
-    MINRES, a zero residual or a degraded step).  ``precond`` None means no
+    tolerance ``tol``, and returns ``(U + h*W, norm of F, result)``, where
+    ``result`` is the solve's own :class:`~cnmpc.krylov.KrylovResult`.  Its
+    ``pairs`` are the secant pairs ``(S, Y)`` with ``a(S) = Y`` column by
+    column (None for MINRES and a zero residual).  ``precond`` None means no
     preconditioner.  ``base`` is F at (U, x) when the caller already has
     it; otherwise the step evaluates it, and a point whose own trajectory
     diverges raises :class:`TrajectoryDivergedError`.  An unknown solver
     raises ValueError before any evaluation.  A Krylov direction whose
-    trajectory diverges yields the zero update, flagged ``degraded``,
-    keeping the control loop alive.  Any other error, such as a preconditioner that returns the wrong
-    shape or that MINRES rejects as indefinite, is a bug and propagates.
+    trajectory diverges yields the zero update and a None result, keeping
+    the control loop alive.  Any other error, such as a preconditioner that
+    returns the wrong shape or that MINRES rejects as indefinite, is a bug
+    and propagates.
     """
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -571,25 +555,8 @@ def continuation_step(
     except TrajectoryDivergedError:
         # A trial direction whose trajectory diverges: keep the previous
         # solution rather than halting the loop.
-        result = None
-    if result is None:
-        delta = np.zeros(op.dim)
-        krylov_residual, iterations, converged, breakdown = math.inf, 0, False, True
-        pairs = None
-    else:
-        delta = fd_step * result.x
-        pairs = result.pairs
-        krylov_residual = result.relative_residual
-        iterations, converged, breakdown = result.iterations, result.converged, result.breakdown
-    diag = StepDiagnostics(
-        norm_F=norm_F,
-        krylov_residual=krylov_residual,
-        iterations=iterations,
-        converged=converged,
-        breakdown=breakdown,
-        degraded=result is None,
-    )
-    return DecisionVector(U.dims, U.data + delta), diag, pairs
+        return DecisionVector(U.dims, U.data + 0), norm_F, None
+    return DecisionVector(U.dims, U.data + fd_step * result.x), norm_F, result
 
 
 class InitialSolveResult(NamedTuple):

@@ -92,12 +92,11 @@ def _start(
     b: np.ndarray,
     k_max: int,
     tol: float,
-) -> tuple[Preconditioner, int, np.ndarray, np.ndarray]:
+) -> tuple[Preconditioner, np.ndarray, np.ndarray]:
     """Checked arguments of a solve and its starting residuals.
 
-    Returns the preconditioner (the identity for None), the iteration cap,
-    the initial residual r = b of the zero guess and its preconditioned
-    form T(r).
+    Returns the preconditioner (the identity for None), the initial
+    residual r = b of the zero guess and its preconditioned form T(r).
     """
     m = op.dim
     b = np.asarray(b, dtype=float)
@@ -111,7 +110,7 @@ def _start(
     # Both exactly linear maps and difference quotients vanish at 0, so the
     # initial residual needs no operator evaluation.
     r = b.copy()
-    return T, k_max, r, np.asarray(T(r), dtype=float)
+    return T, r, np.asarray(T(r), dtype=float)
 
 
 def _solved(m: int) -> KrylovResult:
@@ -217,16 +216,18 @@ def gmres(
     triangular by incremental Givens rotations, so the preconditioned
     residual estimate is available every iteration.  Iteration stops once
     that estimate drops below ``tol`` times the initial preconditioned
-    residual norm, so ``tol=0`` runs a fixed ``k_max`` iterations.  A
-    vanishing Arnoldi normalization is flagged as a (lucky) breakdown: the
-    solution is exact in the current subspace and is returned with
-    ``converged=True``.
+    residual norm, so ``tol=0`` runs a fixed ``k_max`` iterations.  An
+    Arnoldi normalization at most ``op.dim * eps`` times the norm of the
+    preconditioned product it came from, taken before the Gram-Schmidt
+    pass, is flagged as a (lucky) breakdown: what is left of the product is
+    rounding, the solution is exact in the current subspace and is returned
+    with ``converged=True``.
 
     Each product ``op.apply(v_j)`` is stored in one contiguous row, and that
     row is what the preconditioner receives; the basis and the products are
     returned as ``pairs`` for a secant update of the preconditioner.
     """
-    T, k_max, _, z = _start(op, precond, b, k_max, tol)
+    T, _, z = _start(op, precond, b, k_max, tol)
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
         return _solved(op.dim)
@@ -237,17 +238,18 @@ def gmres(
     lsq = _HessenbergLsq(beta)
     breakdown = False
     est = beta
-    bd_tol = _EPS * beta
+    bd_ratio = op.dim * _EPS
     k = 0
     while k < k_max:
         AV[k] = op.apply(V[:, k])
         w = np.asarray(T(AV[k]), dtype=float)
+        wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w  # classical Gram-Schmidt, single pass
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
         est = lsq.push(hk, hnorm)
         k += 1
-        if hnorm <= bd_tol:
+        if hnorm <= bd_ratio * wnorm:
             breakdown = True
             break
         V[:, k] = w / hnorm
@@ -285,7 +287,7 @@ def minres(
     preconditioner-weighted norm of ``b - op(x)``; convergence and the early
     stop use the same relative criterion as :func:`gmres`.
     """
-    T, k_max, r1, y = _start(op, precond, b, k_max, tol)
+    T, r1, y = _start(op, precond, b, k_max, tol)
     beta1 = _weighted_norm(r1, y)
     if beta1 == 0.0:
         return _solved(op.dim)

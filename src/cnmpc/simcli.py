@@ -29,7 +29,6 @@ __all__ = [
     "SimResult",
     "RunComparison",
     "run_simulation",
-    "run_totals",
     "write_csv",
     "compare_runs",
     "parse_cli",
@@ -134,13 +133,6 @@ CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 class SimResult:
     records: list[StepRecord]
     arrival_time: Optional[float]
-    decision_size: int
-
-
-def run_totals(records: list[StepRecord], decision_size: int) -> tuple[int, int]:
-    """Krylov iterations and preconditioner column evaluations over ``records``:
-    each rebuild assembles ``decision_size`` difference columns."""
-    return sum(r.iterations for r in records), decision_size * sum(r.rebuilt for r in records)
 
 
 def run_simulation(
@@ -200,13 +192,13 @@ def run_simulation(
         if rebuilt:
             pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
         T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
-        U, diag, pairs = continuation_step(
+        U, norm_F, result = continuation_step(
             spec, U, x, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
             precond=T, base=pstate.residual if rebuilt else None,
         )
-        if T is not None and pairs is not None:
+        if T is not None and result is not None and result.pairs is not None:
             # the products GMRES formed keep the inverse current
-            pstate = precond.update(pstate, *pairs)
+            pstate = precond.update(pstate, *result.pairs)
         u_applied = U.u(0)
         records.append(
             StepRecord(
@@ -217,9 +209,10 @@ def run_simulation(
                 u=float(u_applied[0]),
                 u_d=float(u_applied[1]),
                 p=float(U.p()[0]),
-                norm_F=diag.norm_F,
-                krylov_residual=diag.krylov_residual,
-                iterations=diag.iterations,
+                norm_F=norm_F,
+                # a degraded step (no result) made no progress
+                krylov_residual=math.inf if result is None else result.relative_residual,
+                iterations=0 if result is None else result.iterations,
                 rebuilt=rebuilt,
             )
         )
@@ -232,7 +225,7 @@ def run_simulation(
             arrival = t + cfg.dt
             break
         i += 1
-    return SimResult(records=records, arrival_time=arrival, decision_size=spec.dims.decision_size)
+    return SimResult(records=records, arrival_time=arrival)
 
 
 def write_csv(result: SimResult, path) -> None:
@@ -279,11 +272,10 @@ def _ratio(base: float, cand: float) -> float:
 def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     """Efficiency and quality ratios over the common step prefix.
 
-    Reports total solver iterations, map evaluations including the
-    preconditioner's column builds, and max/median residual norms.  Runs on
-    disjoint grids yield an empty report with a warning; runs of different
-    lengths, or whose step times part, are aligned on their common prefix
-    with a warning that says which.
+    Reports total solver iterations, total preconditioner rebuilds, and
+    max/median residual norms.  Runs on disjoint grids yield an empty report
+    with a warning; runs of different lengths, or whose step times part, are
+    aligned on their common prefix with a warning that says which.
     """
     warnings_list: list[str] = []
     n_base, n_cand = len(baseline.records), len(candidate.records)
@@ -309,19 +301,17 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
     base = baseline.records[:common]
     cand = candidate.records[:common]
 
-    def totals(records: list[StepRecord], result: SimResult) -> tuple[float, float]:
-        iters, rebuild_evals = run_totals(records, result.decision_size)
-        return float(iters), float(iters) + float(rebuild_evals)
-
-    b_it, b_all = totals(base, baseline)
-    c_it, c_all = totals(cand, candidate)
+    b_it = float(sum(r.iterations for r in base))
+    c_it = float(sum(r.iterations for r in cand))
+    b_rb = float(sum(r.rebuilt for r in base))
+    c_rb = float(sum(r.rebuilt for r in cand))
     b_max = max(r.norm_F for r in base)
     c_max = max(r.norm_F for r in cand)
     b_med = statistics.median(r.norm_F for r in base)
     c_med = statistics.median(r.norm_F for r in cand)
     metrics = {
         "iterations_total": (b_it, c_it, _ratio(b_it, c_it)),
-        "map_evals_with_rebuilds": (b_all, c_all, _ratio(b_all, c_all)),
+        "rebuilds_total": (b_rb, c_rb, _ratio(b_rb, c_rb)),
         "norm_F_max": (b_max, c_max, _ratio(b_max, c_max)),
         "norm_F_median": (b_med, c_med, _ratio(b_med, c_med)),
     }
@@ -485,8 +475,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"arrival time: {result.arrival_time:.6g} s")
     else:
         print("no arrival (time cap reached)")
-    iterations, rebuild_evals = run_totals(result.records, result.decision_size)
-    print(f"solver iterations: {iterations}, preconditioner evaluations: {rebuild_evals}")
+    iterations = sum(r.iterations for r in result.records)
+    rebuilds = sum(r.rebuilt for r in result.records)
+    print(f"solver iterations: {iterations}, preconditioner rebuilds: {rebuilds}")
     if cfg.out_path is not None:
         print(f"records written to {cfg.out_path}")
     return 0

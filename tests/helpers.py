@@ -540,7 +540,7 @@ def numpy_scalar_gmres(op, precond, b, k_max, tol):
     """Independent oracle: the GMRES loop with its Hessenberg column built by
     ``np.append``, every operator and preconditioner value converted with
     ``np.asarray``, and the rotations of :class:`NumpyScalarHessenbergLsq`."""
-    T, k_max, _, z = krylov._start(op, precond, b, k_max, tol)
+    T, _, z = krylov._start(op, precond, b, k_max, tol)
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
         return krylov._solved(op.dim)
@@ -552,12 +552,13 @@ def numpy_scalar_gmres(op, precond, b, k_max, tol):
     k = 0
     while k < k_max:
         w = np.asarray(T(np.asarray(op.apply(V[:, k]), dtype=float)), dtype=float)
+        wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
         est = lsq.push(np.append(hk, hnorm))
         k += 1
-        if hnorm <= np.finfo(float).eps * beta:
+        if hnorm <= op.dim * np.finfo(float).eps * wnorm:
             breakdown = True
             break
         V[:, k] = w / hnorm

@@ -1,5 +1,6 @@
 """The statistics of ``scripts/bench_pairs.py``: quartiles, wins and ties
-over the pairs, and the nine-in-ten rule."""
+over the pairs, the nine-in-ten rule, and the sorting of traced runs'
+check failures and counts."""
 
 import importlib.util
 from pathlib import Path
@@ -53,3 +54,43 @@ def test_claim_needs_the_median_gap_to_exceed_the_parent_spread(bench_pairs):
     verdict = bench_pairs.claim(_runs(parent, change), "m", lower_is_better=True)
     assert verdict["all_pairs"]["change_wins"] == 10
     assert not verdict["all_pairs"]["met"]
+
+
+def _bench_output(errors, **counts):
+    """A canned ``bench`` output: its check failures and count metrics, plus
+    one timing that the count comparison must ignore."""
+    metrics = {k.replace("__", "."): {"value": v, "unit": "count"} for k, v in counts.items()}
+    metrics["simcli.self_ms"] = {"value": 12.5 * len(errors), "unit": "ms"}
+    return {"errors": errors, "metrics": metrics}
+
+
+def test_traced_check_tells_host_faults_from_program_faults(bench_pairs):
+    clock = "traced pass 1: span wall 43052977 ns, clock 43494175 ns"
+    got = {
+        "parent": _bench_output(
+            [clock], simcli__steps_over_dt=2, krylov__gmres__calls=40, bench__calls=7
+        ),
+        "change": _bench_output(
+            ["traced outcomes differ from the untraced ones", "traced pass 2: span wall 5 ns"],
+            simcli__steps_over_dt=0, krylov__gmres__calls=40, bench__calls=8,
+        ),
+    }
+    check = bench_pairs.traced_check(5, got)
+    assert check == {
+        "seed": 5,
+        "host_clock_errors": {"parent": [clock], "change": []},
+        # a line that only starts like the clock check is a program fault
+        "errors": {
+            "parent": [],
+            "change": ["traced outcomes differ from the untraced ones",
+                       "traced pass 2: span wall 5 ns"],
+        },
+        "simcli.steps_over_dt": {"parent": 2, "change": 0},
+        "counts_differ": {"bench.calls": [7, 8]},
+    }
+    quiet = bench_pairs.traced_check(6, {side: _bench_output([], bench__calls=7)
+                                         for side in ("parent", "change")})
+    assert bench_pairs.failure_counts([check, quiet, check]) == {
+        "host_clock_errors": {"parent": 2, "change": 0},
+        "errors": {"parent": 0, "change": 4},
+    }

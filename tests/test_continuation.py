@@ -521,8 +521,8 @@ def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
 def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
     U = initial_guess(consts, 10)
     with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
-        _, diag, _ = continuation_step(spec10, U, consts.start, **STEP)
-    assert diag.norm_F == 12.5
+        _, norm_F, _ = continuation_step(spec10, U, consts.start, **STEP)
+    assert norm_F == 12.5
     assert norm.call_count == 1
 
 
@@ -668,10 +668,10 @@ def test_continuation_step_zero_residual_is_identity():
     zero = DecisionVector.zeros(spec.dims)
     stationary = initial_solve(spec, x0, 0.0, zero, **{**COLD_START, "tol_init": 1e-13}).U
     settings = {**STEP, "k_max": 3, "tol": 1e-8}
-    U_next, diag, _ = continuation_step(spec, stationary, x0, **settings)
-    assert diag.norm_F <= 1e-12
+    U_next, norm_F, result = continuation_step(spec, stationary, x0, **settings)
+    assert norm_F <= 1e-12
     assert np.allclose(U_next.data, stationary.data, atol=1e-9)
-    assert diag.iterations == 0 or diag.converged
+    assert result.iterations == 0 or result.converged
 
 
 def test_continuation_step_affine_newton_exact():
@@ -680,13 +680,13 @@ def test_continuation_step_affine_newton_exact():
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
     A = assemble_jacobian(spec, U, x0, 1e-6)[:, 1:]
     factors = lu_factor(A)
-    U_next, diag, _ = continuation_step(
+    U_next, _, result = continuation_step(
         spec, U, x0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
         precond=lambda r: lu_solve(factors, r),
     )
     F_after = optimality_residual(spec, U_next, x0)
     assert np.linalg.norm(F_after) <= 1e-8
-    assert diag.iterations <= 2
+    assert result.iterations <= 2
 
 
 def test_continuation_step_propagates_indefinite_preconditioner():
@@ -725,13 +725,16 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
 def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
     U = initial_guess(consts, 10)
     base = optimality_residual(spec10, U, consts.start)
-    own, diag_own, pairs_own = continuation_step(spec10, U, consts.start, **STEP)
-    given_base, diag_given, pairs_given = continuation_step(
+    own, norm_own, result_own = continuation_step(spec10, U, consts.start, **STEP)
+    given_base, norm_given, result_given = continuation_step(
         spec10, U, consts.start, **STEP, base=base
     )
     assert np.array_equal(own.data, given_base.data)
-    assert diag_own == diag_given
-    assert all(map(np.array_equal, pairs_own, pairs_given))
+    assert norm_own == norm_given
+    for name in ("x", "residual_norm", "iterations", "converged", "breakdown",
+                 "initial_residual_norm"):
+        assert np.array_equal(getattr(result_own, name), getattr(result_given, name)), name
+    assert all(map(np.array_equal, result_own.pairs, result_given.pairs))
 
 
 def test_continuation_step_survives_diverging_krylov_direction():
@@ -740,22 +743,21 @@ def test_continuation_step_survives_diverging_krylov_direction():
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     with np.errstate(over="ignore"):
         settings = {**STEP, "k_max": 3, "tol": 1e-8}
-        U_next, diag, pairs = continuation_step(spec, U, x0, **settings)
-    assert math.isfinite(diag.norm_F) and diag.norm_F > 0.0
-    assert diag.breakdown and diag.degraded and not diag.converged
-    assert diag.iterations == 0 and diag.krylov_residual == math.inf
+        U_next, norm_F, result = continuation_step(spec, U, x0, **settings)
+    assert math.isfinite(norm_F) and norm_F > 0.0
     assert np.array_equal(U_next.data, U.data)  # best available update is zero
-    assert pairs is None  # a degraded step hands back no secant pairs
+    assert U_next.data is not U.data
+    assert result is None  # a degraded step hands back no result and no secant pairs
 
 
 def test_step_diagnostics_fields(consts, spec10):
     U = initial_guess(consts, 10)
-    U_next, diag, _ = continuation_step(spec10, U, consts.start, **{**STEP, "k_max": 5})
+    U_next, norm_F, result = continuation_step(spec10, U, consts.start, **{**STEP, "k_max": 5})
     assert U_next.dims == U.dims
     assert not np.array_equal(U_next.data, U.data)
-    assert diag.iterations <= 5
-    assert diag.norm_F > 0.0
-    assert not diag.degraded
+    assert result is not None
+    assert result.iterations <= 5
+    assert norm_F > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,18 @@ def test_gmres_equals_numpy_scalar_oracle_bitwise(kind, m, k_fraction, tol, scal
     )
 
 
+def test_gmres_flags_a_breakdown_relative_to_the_product_norm():
+    # on this rank-one map the second Arnoldi step leaves a remainder of
+    # 3.5e-16 times its product's norm, 2.3 times eps times the right-hand
+    # side's norm: a breakdown measured against the right-hand side is missed,
+    # and the next basis vector is pure rounding
+    op, b = _oracle_problem("rank_one", 5, 1)
+    res = gmres(op, None, b, k_max=5, tol=0.0)
+    assert (res.iterations, res.breakdown, res.converged) == (2, True, True)
+    S, _ = res.pairs
+    assert np.abs(S.T @ S - np.eye(2)).max() <= 1e-12
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     kind=st.sampled_from(["dense", "rank_one", "mintime"]),
