@@ -1,9 +1,10 @@
 """Continuation NMPC engine.
 
 Evaluates the stacked optimality residual of the discretized horizon problem
-via forward state / backward costate recursions, wraps its forward-difference
-directional derivative as a matrix-free operator, and advances the stacked
-unknown by one Krylov solve per system sampling period.
+via forward state / backward costate recursions, assembles its
+forward-difference Jacobian in one block evaluation or wraps it as a
+matrix-free operator, and advances the stacked unknown by one Krylov solve per
+system sampling period.
 """
 
 from __future__ import annotations
@@ -527,29 +528,53 @@ def continuation_step(
 ) -> tuple[DecisionVector, float, Optional[KrylovResult]]:
     """Advance the tracked solution U by one sampling period.
 
-    Solves a(W) = -F/h for the difference operator a at (U, x), with the
+    Solves a(W) = -F/h for the difference Jacobian a at (U, x), with the
     difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
     ("gmres" or "minres") with at most ``k_max`` iterations to the relative
     tolerance ``tol``, and returns ``(U + h*W, norm of F, result)``, where
     ``result`` is the solve's own :class:`~cnmpc.krylov.KrylovResult`.  Its
     ``pairs`` are the secant pairs ``(S, Y)`` with ``a(S) = Y`` column by
-    column (None for MINRES and a zero residual).  ``precond`` None means no
-    preconditioner.  ``base`` is F at (U, x) when the caller already has
-    it; otherwise the step evaluates it, and a point whose own trajectory
-    diverges raises :class:`TrajectoryDivergedError`.  An unknown solver
-    raises ValueError before any evaluation.  A Krylov direction whose
-    trajectory diverges yields the zero update and a None result, keeping
-    the control loop alive.  Any other error, such as a preconditioner that
-    returns the wrong shape or that MINRES rejects as indefinite, is a bug
-    and propagates.
+    column (None for MINRES and a zero residual).  An unknown solver raises
+    ValueError before any evaluation.
+
+    ``precond`` None means no preconditioner.  Such a step scores F and the
+    whole Jacobian in one :func:`assemble_jacobian` block, takes F from its
+    column 0 and runs the same solve on the assembled matrix: one kernel
+    call, where a matrix-free solve makes 1 + ``k_max`` sequential ones.
+    It reads no ``base``, and passing one raises ValueError.  A
+    preconditioned step stays matrix-free: ``a`` is
+    :func:`difference_operator`, one residual per iteration, and ``base``
+    is F at (U, x) when the caller already has it; otherwise the step
+    evaluates it.
+
+    A point whose own trajectory diverges raises
+    :class:`TrajectoryDivergedError`.  A difference column or Krylov
+    direction whose trajectory diverges yields the zero update and a None
+    result, keeping the control loop alive; when the block diverges the
+    step scores F alone to tell the two apart.  Any other error, such as a
+    preconditioner that returns the wrong shape or that MINRES rejects as
+    indefinite, is a bug and propagates.
     """
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")
-    if base is None:
-        base = optimality_residual(spec, U, x)
-    norm_F = _norm(base)
-    op = difference_operator(spec, U, x, fd_step, base=base)
     solve = gmres if solver == "gmres" else minres
+    if precond is None:
+        if base is not None:
+            raise ValueError("an unpreconditioned step scores F in its own block; pass no base")
+        try:
+            R = assemble_jacobian(spec, U, x, fd_step)
+        except TrajectoryDivergedError:
+            # raises when U itself diverges; otherwise a difference column did
+            norm_F = _norm(optimality_residual(spec, U, x))
+            return DecisionVector(U.dims, U.data + 0), norm_F, None
+        # a contiguous copy: a matvec on the strided slice is 2-3 times slower
+        base, A = R[:, 0], R[:, 1:].copy()
+        op = LinearMap(A.shape[0], A.dot)
+    else:
+        if base is None:
+            base = optimality_residual(spec, U, x)
+        op = difference_operator(spec, U, x, fd_step, base=base)
+    norm_F = _norm(base)
     try:
         result = solve(op, precond, -base / fd_step, k_max=k_max, tol=tol)
     except TrajectoryDivergedError:

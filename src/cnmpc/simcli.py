@@ -186,15 +186,16 @@ def run_simulation(
         if math.hypot(x[0] - consts.x_f, x[1] - consts.y_f) <= cfg.stop_radius:
             arrival = t
             break
-        # a rebuild scores the residual at (U, x) in its Jacobian block;
-        # on every other step the continuation step evaluates it
+        # a rebuild scores the residual at (U, x) in its Jacobian block and
+        # hands it to the preconditioned step; an unpreconditioned step
+        # scores it in its own block
         rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
         T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
         U, norm_F, result = continuation_step(
             spec, U, x, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
-            precond=T, base=pstate.residual if rebuilt else None,
+            precond=T, base=pstate.residual if rebuilt and T is not None else None,
         )
         if T is not None and result is not None and result.pairs is not None:
             # the products GMRES formed keep the inverse current

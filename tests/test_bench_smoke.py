@@ -75,8 +75,9 @@ def test_bench_lu_factor_and_solve(benchmark, consts, spec10):
 
 @SMOKE
 def test_bench_case_one_step(benchmark, consts, spec10):
-    # the first step of the canonical case-1 loop: GMRES with k_max = 10 and
-    # no preconditioner on the difference operator at the cold-start solution
+    # the first step of the canonical case-1 loop: one block residual
+    # assembles F and the difference Jacobian at the cold-start solution, and
+    # GMRES with k_max = 10 and no preconditioner solves on that matrix
     cfg = SimConfig(case_preset=1, **PRESETS[1])
     U = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START).U
 

@@ -22,7 +22,14 @@ from cnmpc.continuation import (
     initial_solve,
     optimality_residual,
 )
-from cnmpc.krylov import IndefinitePreconditionerError, lu_factor, lu_solve
+from cnmpc.krylov import (
+    IndefinitePreconditionerError,
+    LinearMap,
+    gmres,
+    lu_factor,
+    lu_solve,
+    minres,
+)
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_dims, problem_spec
 from helpers import (
     COLD_START,
@@ -723,11 +730,14 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
 
 
 def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
+    # a base is F for a preconditioned step, which stays matrix-free
     U = initial_guess(consts, 10)
     base = optimality_residual(spec10, U, consts.start)
-    own, norm_own, result_own = continuation_step(spec10, U, consts.start, **STEP)
+    factors = lu_factor(assemble_jacobian(spec10, U, consts.start, 1e-5)[:, 1:])
+    step = {**STEP, "precond": lambda r: lu_solve(factors, r)}
+    own, norm_own, result_own = continuation_step(spec10, U, consts.start, **step)
     given_base, norm_given, result_given = continuation_step(
-        spec10, U, consts.start, **STEP, base=base
+        spec10, U, consts.start, **step, base=base
     )
     assert np.array_equal(own.data, given_base.data)
     assert norm_own == norm_given
@@ -748,6 +758,95 @@ def test_continuation_step_survives_diverging_krylov_direction():
     assert np.array_equal(U_next.data, U.data)  # best available update is zero
     assert U_next.data is not U.data
     assert result is None  # a degraded step hands back no result and no secant pairs
+
+
+def test_unpreconditioned_step_rejects_a_base_before_evaluating(consts, spec10):
+    # an unpreconditioned step takes F from column 0 of its Jacobian block;
+    # the loop hands a base only to a preconditioned step
+    U = initial_guess(consts, 10)
+    base = optimality_residual(spec10, U, consts.start)
+    with mock.patch.object(continuation, "block_residual") as residual:
+        with pytest.raises(ValueError, match="in its own block; pass no base"):
+            continuation_step(spec10, U, consts.start, **STEP, base=base)
+    assert residual.call_count == 0
+
+
+@pytest.mark.parametrize("N", [10, 40])
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+def test_unpreconditioned_step_solves_on_the_assembled_block(consts, N, solver):
+    # one kernel call: F and the Jacobian come from assemble_jacobian's
+    # block, and the solve is the plain solver on that matrix, bit for bit
+    spec = problem_spec(consts, N)
+    U = initial_guess(consts, N)
+    h = STEP["fd_step"]
+    R = assemble_jacobian(spec, U, consts.start, h)
+    solve = {"gmres": gmres, "minres": minres}[solver]
+    want = solve(LinearMap(R.shape[0], R[:, 1:].dot), None, -R[:, 0] / h, k_max=10, tol=1e-5)
+    kernel = continuation.block_residual
+    with mock.patch.object(continuation, "block_residual", side_effect=kernel) as residual:
+        U_next, norm_F, result = continuation_step(
+            spec, U, consts.start, **{**STEP, "solver": solver}
+        )
+    assert residual.call_count == 1
+    assert norm_F == continuation._norm(optimality_residual(spec, U, consts.start))
+    assert np.array_equal(U_next.data, U.data + h * want.x)
+    for name in ("x", "residual_norm", "iterations", "converged", "breakdown",
+                 "initial_residual_norm"):
+        assert np.array_equal(getattr(result, name), getattr(want, name)), name
+    if want.pairs is None:
+        assert result.pairs is None
+    else:
+        assert all(map(np.array_equal, result.pairs, want.pairs))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+    st.sampled_from([1e-7, 1e-5, 1e-2]),
+    st.sampled_from(["gmres", "minres"]),
+)
+def test_block_diverging_in_a_difference_column_degrades_the_step(N, data, h, solver):
+    # the controls sit on the threshold, so U is finite and a step along any
+    # control diverges: the zero update, no result and F's finite norm, for
+    # one block and one single residual
+    spec = threshold_spec("state", limit=0.5, n_steps=N)
+    x0 = np.array([0.5])
+    z = np.array(data.draw(st.lists(
+        st.floats(min_value=-0.5, max_value=0.5), min_size=N, max_size=N
+    )))
+    z[data.draw(st.integers(min_value=0, max_value=N - 1))] = 0.5
+    U = DecisionVector(spec.dims, z)
+    kernel = continuation.block_residual
+    with mock.patch.object(continuation, "block_residual", side_effect=kernel) as residual:
+        U_next, norm_F, result = continuation_step(
+            spec, U, x0, **{**STEP, "fd_step": h, "solver": solver}
+        )
+    assert residual.call_count == 2
+    assert result is None
+    assert np.array_equal(U_next.data, U.data)
+    assert U_next.data is not U.data
+    assert norm_F == continuation._norm(optimality_residual(spec, U, x0))
+    assert math.isfinite(norm_F)
+
+
+@pytest.mark.parametrize("blow_up", ["state", "costate"])
+def test_unpreconditioned_step_at_a_diverging_point_raises(blow_up):
+    # a point whose own trajectory diverges is no degraded step: the block
+    # diverges, F alone diverges too, and the error names F's recursion
+    spec = threshold_spec("state", limit=0.5)
+    x0 = np.array([0.5])
+    U = DecisionVector(spec.dims, np.array([0.2, 0.9, 0.1]))
+    if blow_up == "costate":
+        spec = quadratic_spec()
+        H_x = spec.H_x
+        spec.H_x = lambda tau, x, lam, u, mu, p, s: H_x(tau, x, lam, u, mu, p, s) * np.inf
+    with pytest.raises(TrajectoryDivergedError) as err:
+        optimality_residual(spec, U, x0)
+    want = (err.value.kind, err.value.step)
+    with pytest.raises(TrajectoryDivergedError) as err:
+        continuation_step(spec, U, x0, **STEP)
+    assert (err.value.kind, err.value.step) == want
 
 
 def test_step_diagnostics_fields(consts, spec10):

@@ -44,9 +44,13 @@ def test_run_cases_writes_outputs_and_prints_their_digests(tmp_path, capsys, pre
 # changes the program's output and says so; libm and numpy's SIMD kernels
 # round differently elsewhere, so the digests hold on one platform only.
 # Cases 2-4 moved when the loop began to update the preconditioner between
-# rebuilds from each step's secant pairs; case 1 runs without one.
+# rebuilds from each step's secant pairs; case 1 runs without one.  Case 1
+# moved when its steps began to solve on one assembled Jacobian block: the
+# assembled columns are difference quotients along the axes, not along the
+# Krylov directions, so the controls move by up to 0.04 while every step
+# still takes 10 iterations and the run arrives at the same time.
 CASE_DIGESTS = {
-    1: "fdacf90ad09d36b7eea3a94e19a14330d5f4067d5fae4e5d0d56fcaea4b31ab7",
+    1: "6fc38507b97bee6604784db3b917df60a210bbe8107bfcc8b834254b79ec7b25",
     2: "279dd6ba75f32250a5e517bd152166ff6128e43b8debd4b1a9ebf35aff17021f",
     3: "152287431ea54cf93c156e4dd492769f35272444c9f31888390081efbbea5d3d",
     4: "ced3e4cb34c6e106c6dbf235153828583e2c3c6c113f4e3a01a9c521a37b4c14",

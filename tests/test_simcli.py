@@ -399,11 +399,12 @@ def test_run_without_precond_never_consults_schedule(monkeypatch):
     assert not any(r.rebuilt for r in result.records)
 
 
-@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("case", [1, 2, 3, 4])
 def test_kernel_calls_per_loop_step(monkeypatch, case):
-    # block_residual calls per loop step: case 1 scores F and one apply per
-    # Krylov iteration; case 2 makes two on every step, a rebuild step's
-    # assembly block (F in its column 0) and one apply, or F and one apply
+    # block_residual calls per loop step: a case-1 step scores F and the
+    # Jacobian in one block and solves on it; the preconditioned cases stay
+    # matrix-free, with one apply per Krylov iteration after a rebuild
+    # step's assembly block (F in its column 0) or after F alone
     calls = []
     marks = []
     kernel = continuation.block_residual
@@ -428,10 +429,12 @@ def test_kernel_calls_per_loop_step(monkeypatch, case):
     per_step = [b - a for a, b in zip(marks, marks[1:])]
     assert len(per_step) == len(records)
     if case == 1:
-        assert per_step == [1 + r.iterations for r in records]
+        assert per_step == [1] * len(records)
+        assert all(r.iterations == 10 for r in records)
     else:
         assert sum(r.rebuilt for r in records) > 1
-        assert per_step == [2] * len(records)
+        assert per_step == [1 + r.iterations for r in records]
+        assert all(0 < r.iterations for r in records)
 
 
 @settings(deadline=None, max_examples=12)
