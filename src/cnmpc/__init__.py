@@ -1,1 +1,1 @@
-"""Continuation NMPC with preconditioned matrix-free Krylov solvers."""
+"""Continuation NMPC with preconditioned Krylov solves on an assembled difference Jacobian."""

@@ -2,9 +2,8 @@
 
 Evaluates the stacked optimality residual of the discretized horizon problem
 via forward state / backward costate recursions, assembles its
-forward-difference Jacobian in one block evaluation or wraps it as a
-matrix-free operator, and advances the stacked unknown by one Krylov solve per
-system sampling period.
+forward-difference Jacobian in one block evaluation, and advances the stacked
+unknown by one Krylov solve on that Jacobian per system sampling period.
 """
 
 from __future__ import annotations
@@ -476,7 +475,8 @@ def difference_operator(
 
     ``apply(v)`` returns (F[U + step*v] - base) / step for a direction of
     shape (m,), where ``base`` is F at (U, x); an apply costs one residual
-    evaluation.
+    evaluation.  The loop does not call it: it is the matrix-free reference
+    that :func:`assemble_jacobian`'s columns equal bitwise.
     """
     if step <= 0.0:
         raise ValueError("difference step must be positive")
@@ -518,70 +518,44 @@ def continuation_step(
     spec: OcpSpec,
     U: DecisionVector,
     x: np.ndarray,
+    R: Optional[np.ndarray],
     *,
     fd_step: float,
     k_max: int,
     tol: float,
     solver: str,
     precond: Optional[Preconditioner] = None,
-    base: Optional[np.ndarray] = None,
 ) -> tuple[DecisionVector, float, Optional[KrylovResult]]:
     """Advance the tracked solution U by one sampling period.
 
-    Solves a(W) = -F/h for the difference Jacobian a at (U, x), with the
-    difference step h = ``fd_step`` and initial guess W = 0, by ``solver``
-    ("gmres" or "minres") with at most ``k_max`` iterations to the relative
-    tolerance ``tol``, and returns ``(U + h*W, norm of F, result)``, where
-    ``result`` is the solve's own :class:`~cnmpc.krylov.KrylovResult`.  Its
-    ``pairs`` are the secant pairs ``(S, Y)`` with ``a(S) = Y`` column by
-    column (None for MINRES and a zero residual).  An unknown solver raises
-    ValueError before any evaluation.
+    ``R`` is :func:`assemble_jacobian`'s block at (U, x) with the difference
+    step h = ``fd_step``: F in column 0 and the difference Jacobian A in
+    columns 1..m.  Solves A W = -F/h from W = 0 by ``solver`` ("gmres" or
+    "minres"), preconditioned by ``precond`` (None for none), with at most
+    ``k_max`` iterations to the relative tolerance ``tol``, and returns
+    ``(U + h*W, norm of F, result)``, where ``result`` is the solve's own
+    :class:`~cnmpc.krylov.KrylovResult`.  Its ``pairs`` are the secant
+    pairs ``(S, Y)`` with ``A S = Y`` (None for MINRES and a zero
+    residual).  An unknown solver raises ValueError before any evaluation.
 
-    ``precond`` None means no preconditioner.  Such a step scores F and the
-    whole Jacobian in one :func:`assemble_jacobian` block, takes F from its
-    column 0 and runs the same solve on the assembled matrix: one kernel
-    call, where a matrix-free solve makes 1 + ``k_max`` sequential ones.
-    It reads no ``base``, and passing one raises ValueError.  A
-    preconditioned step stays matrix-free: ``a`` is
-    :func:`difference_operator`, one residual per iteration, and ``base``
-    is F at (U, x) when the caller already has it; otherwise the step
-    evaluates it.
-
-    A point whose own trajectory diverges raises
-    :class:`TrajectoryDivergedError`.  A difference column or Krylov
-    direction whose trajectory diverges yields the zero update and a None
-    result, keeping the control loop alive; when the block diverges the
-    step scores F alone to tell the two apart.  Any other error, such as a
-    preconditioner that returns the wrong shape or that MINRES rejects as
-    indefinite, is a bug and propagates.
+    ``R`` None stands for a block whose trajectory diverged.  The step then
+    scores F alone, since the block does not tell whether U itself or a
+    difference column diverged: a point whose own trajectory diverges
+    raises :class:`TrajectoryDivergedError`; otherwise the step returns the
+    zero update and a None result, keeping the control loop alive.  Any
+    other error, such as a preconditioner that returns the wrong shape or
+    that MINRES rejects as indefinite, is a bug and propagates.
     """
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")
-    solve = gmres if solver == "gmres" else minres
-    if precond is None:
-        if base is not None:
-            raise ValueError("an unpreconditioned step scores F in its own block; pass no base")
-        try:
-            R = assemble_jacobian(spec, U, x, fd_step)
-        except TrajectoryDivergedError:
-            # raises when U itself diverges; otherwise a difference column did
-            norm_F = _norm(optimality_residual(spec, U, x))
-            return DecisionVector(U.dims, U.data + 0), norm_F, None
-        # a contiguous copy: a matvec on the strided slice is 2-3 times slower
-        base, A = R[:, 0], R[:, 1:].copy()
-        op = LinearMap(A.shape[0], A.dot)
-    else:
-        if base is None:
-            base = optimality_residual(spec, U, x)
-        op = difference_operator(spec, U, x, fd_step, base=base)
-    norm_F = _norm(base)
-    try:
-        result = solve(op, precond, -base / fd_step, k_max=k_max, tol=tol)
-    except TrajectoryDivergedError:
-        # A trial direction whose trajectory diverges: keep the previous
-        # solution rather than halting the loop.
+    if R is None:
+        norm_F = _norm(optimality_residual(spec, U, x))
         return DecisionVector(U.dims, U.data + 0), norm_F, None
-    return DecisionVector(U.dims, U.data + fd_step * result.x), norm_F, result
+    solve = gmres if solver == "gmres" else minres
+    # a contiguous copy: a matvec on the strided slice is 2-3 times slower
+    F, A = R[:, 0], R[:, 1:].copy()
+    result = solve(LinearMap(A.shape[0], A.dot), precond, -F / fd_step, k_max=k_max, tol=tol)
+    return DecisionVector(U.dims, U.data + fd_step * result.x), _norm(F), result
 
 
 class InitialSolveResult(NamedTuple):

@@ -1,11 +1,12 @@
 """Scheduled LU preconditioning for the per-step Krylov solves.
 
-The dense difference Jacobian is assembled, together with the step's
-residual, in one block residual at configured time instances and inverted
-once by LAPACK's pivoted LU.  Every sampling point applies the current
-inverse with one matvec, and between rebuilds :func:`update` keeps that
-inverse current with a block good-Broyden update from the secant pairs of
-the step's GMRES solve, which costs no residual evaluation.
+Every loop step assembles the dense difference Jacobian, together with the
+step's residual, in one block residual.  At configured time instances a
+rebuild inverts that step's Jacobian once by LAPACK's pivoted LU.  Every
+sampling point applies the current inverse with one matvec, and between
+rebuilds :func:`update` keeps that inverse current with a block good-Broyden
+update from the secant pairs of the step's GMRES solve, which costs no
+residual evaluation.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .continuation import (
-    DecisionVector,
-    OcpSpec,
-    TrajectoryDivergedError,
-    assemble_jacobian,
-)
 from .krylov import SingularMatrixError, lu_factor, lu_solve
 
 __all__ = [
@@ -54,16 +49,12 @@ class PrecondState:
     Neither function changes an inverse in place: each returns a new state
     with a new array, so a state's inverse never changes after it is made.
     ``built_at`` is the time of the last successful rebuild and ``stale``
-    marks factors kept over a failed one.  ``residual`` is F at the point of
-    the rebuild that returned this state (None before the first rebuild,
-    after a diverging assembly block and after an update); the rebuild step
-    uses it as its base residual.
+    marks factors kept over a failed one.
     """
 
     inverse: Optional[np.ndarray] = None
     built_at: Optional[float] = None
     stale: bool = False
-    residual: Optional[np.ndarray] = None
 
 
 def should_rebuild(state: PrecondState, t: float, t_p: float, dt: float) -> bool:
@@ -77,53 +68,38 @@ def should_rebuild(state: PrecondState, t: float, t_p: float, dt: float) -> bool
     return t >= state.built_at + t_p - dt / 2.0
 
 
-def rebuild(
-    spec: OcpSpec,
-    U: DecisionVector,
-    x: np.ndarray,
-    t: float,
-    fd_step: float,
-    prev: PrecondState,
-) -> PrecondState:
-    """Assemble and invert the difference Jacobian at the current point.
+def rebuild(R: Optional[np.ndarray], t: float, prev: PrecondState) -> PrecondState:
+    """Invert the difference Jacobian of the step's assembly block.
 
-    One :func:`~cnmpc.continuation.assemble_jacobian` block yields both the
-    residual at the current point, returned as ``residual``, and the
-    Jacobian.  ``t`` is the time of the rebuild, recorded as ``built_at``,
-    and ``prev`` the state whose factors a failed rebuild keeps.
+    ``R`` is the step's :func:`~cnmpc.continuation.assemble_jacobian` block,
+    whose columns 1..m are the Jacobian, or None where that block diverged.
+    ``t`` is the time of the rebuild, recorded as ``built_at``, and ``prev``
+    the state whose factors a failed rebuild keeps.
 
-    An assembly whose block diverges, a Jacobian with non-finite entries or
-    a singular factorization keeps the previous factors (a stale
-    preconditioner beats a sudden conditioning cliff), emits a warning, and
-    marks the state stale; the control loop is never halted from here.
-    When the block diverges, the warning names its recursion and horizon
-    step, and ``residual`` is None: the block does not tell whether the
-    current point itself diverged, so the step evaluates F there.  Any other
-    error in the assembly is a bug and propagates.
+    A None block, a Jacobian with non-finite entries or a singular
+    factorization keeps the previous factors (a stale preconditioner beats a
+    sudden conditioning cliff), emits a warning, and marks the state stale;
+    the control loop is never halted from here.
     """
-    try:
-        R = assemble_jacobian(spec, U, x, fd_step)
-    except TrajectoryDivergedError as exc:
-        return _stale(prev, t, None, f"a failed Jacobian assembly ({exc})")
-    residual, A = R[:, 0].copy(), R[:, 1:]
+    if R is None:
+        return _stale(prev, t, "a failed Jacobian assembly")
+    A = R[:, 1:]
     if not np.isfinite(A).all():
-        return _stale(prev, t, residual, "a Jacobian with non-finite entries")
+        return _stale(prev, t, "a Jacobian with non-finite entries")
     try:
         inverse = lu_factor(A)
     except SingularMatrixError as exc:
-        return _stale(prev, t, residual, f"a singular Jacobian ({exc})")
-    return PrecondState(inverse=inverse, built_at=t, residual=residual)
+        return _stale(prev, t, f"a singular Jacobian ({exc})")
+    return PrecondState(inverse=inverse, built_at=t)
 
 
-def _stale(
-    prev: PrecondState, t: float, residual: Optional[np.ndarray], cause: str
-) -> PrecondState:
+def _stale(prev: PrecondState, t: float, cause: str) -> PrecondState:
     warnings.warn(
         f"preconditioner rebuild at t={t:g} hit {cause}; keeping previous factors",
         StalePreconditionerWarning,
         stacklevel=3,
     )
-    return PrecondState(inverse=prev.inverse, built_at=prev.built_at, stale=True, residual=residual)
+    return PrecondState(inverse=prev.inverse, built_at=prev.built_at, stale=True)
 
 
 def apply(state: PrecondState, r: np.ndarray) -> np.ndarray:
@@ -141,9 +117,9 @@ def update(state: PrecondState, S: np.ndarray, Y: np.ndarray) -> PrecondState:
 
     The updated inverse maps every column of Y to the same column of S and
     agrees with M on the vectors orthogonal to the columns of M'S.  The
-    result holds a new array, ``residual`` None and the bookkeeping of
-    ``state``.  The update is skipped, and ``state`` itself returned, when
-    the k-by-k Gram matrix ``S' M Y`` is singular or when
+    result holds a new array and the bookkeeping of ``state``.  The update
+    is skipped, and ``state`` itself returned, when the k-by-k Gram matrix
+    ``S' M Y`` is singular or when
     ``|S'| |M Y| |(S' M Y)^-1|`` in 1-norms is at least 1e10 or not finite.
     That product is at least the condition number of ``S' M Y``; for a
     single pair it is ``|s|_inf |M y|_1 / |s' M y|``, so it also skips a

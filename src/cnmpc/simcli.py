@@ -19,7 +19,13 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from . import precond
-from .continuation import ColdStartError, continuation_step, initial_solve
+from .continuation import (
+    ColdStartError,
+    TrajectoryDivergedError,
+    assemble_jacobian,
+    continuation_step,
+    initial_solve,
+)
 from .mintime import MinTimeConstants, initial_guess, plant_rate, problem_spec
 
 __all__ = [
@@ -141,11 +147,12 @@ def run_simulation(
 ) -> SimResult:
     """Cold start at t0, then the receding-horizon loop.
 
-    Each pass rebuilds the preconditioner when due, advances the tracked
-    solution by one Krylov step, updates the preconditioner from the
-    step's secant pairs, records diagnostics, and propagates the
-    state with a model Euler step (or the ``measure`` hook when supplied, for
-    externally sourced states).  The run stops at target arrival: either the
+    Each pass assembles the difference Jacobian at the current point in one
+    block, inverts that block when a preconditioner rebuild is due, advances
+    the tracked solution by one Krylov step on it, updates the
+    preconditioner from the step's secant pairs, records diagnostics, and
+    propagates the state with a model Euler step (or the ``measure`` hook
+    when supplied, for externally sourced states).  The run stops at target arrival: either the
     distance to the goal falls below ``stop_radius`` or a finite time-to-go
     drops below one sampling period; ``t_end`` is a safety cap with no
     arrival.
@@ -186,16 +193,20 @@ def run_simulation(
         if math.hypot(x[0] - consts.x_f, x[1] - consts.y_f) <= cfg.stop_radius:
             arrival = t
             break
-        # a rebuild scores the residual at (U, x) in its Jacobian block and
-        # hands it to the preconditioned step; an unpreconditioned step
-        # scores it in its own block
+        # one block per step: a due rebuild inverts its Jacobian and the
+        # step solves on it; for a block that diverged (None) the rebuild
+        # goes stale and the step scores F alone
+        try:
+            R = assemble_jacobian(spec, U, x, cfg.h)
+        except TrajectoryDivergedError:
+            R = None
         rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
-            pstate = precond.rebuild(spec, U, x, t, cfg.h, prev=pstate)
+            pstate = precond.rebuild(R, t, prev=pstate)
         T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
         U, norm_F, result = continuation_step(
-            spec, U, x, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
-            precond=T, base=pstate.residual if rebuilt and T is not None else None,
+            spec, U, x, R, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
+            precond=T,
         )
         if T is not None and result is not None and result.pairs is not None:
             # the products GMRES formed keep the inverse current

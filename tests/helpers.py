@@ -28,6 +28,15 @@ COLD_START = {
 }
 
 
+def loop_block(spec, U, x, h=SimConfig.h):
+    """The block a loop step hands on: ``assemble_jacobian``'s at (U, x), or
+    None where that block diverges."""
+    try:
+        return continuation.assemble_jacobian(spec, U, x, h)
+    except TrajectoryDivergedError:
+        return None
+
+
 def forward_states(spec, x0, U):
     """States of one decision vector, shape (N+1, n_x): the kernel's
     forward recursion on its own."""

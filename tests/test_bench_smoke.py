@@ -82,8 +82,9 @@ def test_bench_case_one_step(benchmark, consts, spec10):
     U = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START).U
 
     def step():
+        R = assemble_jacobian(spec10, U, consts.start, cfg.h)
         return continuation_step(
-            spec10, U, consts.start, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
+            spec10, U, consts.start, R, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol,
             solver=cfg.solver,
         )
 

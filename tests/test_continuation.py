@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from unittest import mock
@@ -38,6 +39,7 @@ from helpers import (
     forward_states,
     fragile_spec,
     linear_spec,
+    loop_block,
     own_trig_spec,
     quadratic_spec,
     random_decision,
@@ -528,7 +530,9 @@ def test_norm_scales_a_finite_residual_whose_plain_norm_overflows():
 def test_step_diagnostics_norm_uses_the_overflow_safe_norm(consts, spec10):
     U = initial_guess(consts, 10)
     with mock.patch.object(continuation, "_norm", return_value=12.5) as norm:
-        _, norm_F, _ = continuation_step(spec10, U, consts.start, **STEP)
+        _, norm_F, _ = continuation_step(
+            spec10, U, consts.start, loop_block(spec10, U, consts.start), **STEP
+        )
     assert norm_F == 12.5
     assert norm.call_count == 1
 
@@ -675,7 +679,9 @@ def test_continuation_step_zero_residual_is_identity():
     zero = DecisionVector.zeros(spec.dims)
     stationary = initial_solve(spec, x0, 0.0, zero, **{**COLD_START, "tol_init": 1e-13}).U
     settings = {**STEP, "k_max": 3, "tol": 1e-8}
-    U_next, norm_F, result = continuation_step(spec, stationary, x0, **settings)
+    U_next, norm_F, result = continuation_step(
+        spec, stationary, x0, loop_block(spec, stationary, x0), **settings
+    )
     assert norm_F <= 1e-12
     assert np.allclose(U_next.data, stationary.data, atol=1e-9)
     assert result.iterations == 0 or result.converged
@@ -685,10 +691,10 @@ def test_continuation_step_affine_newton_exact():
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
-    A = assemble_jacobian(spec, U, x0, 1e-6)[:, 1:]
-    factors = lu_factor(A)
+    R = assemble_jacobian(spec, U, x0, 1e-6)
+    factors = lu_factor(R[:, 1:])
     U_next, _, result = continuation_step(
-        spec, U, x0, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
+        spec, U, x0, R, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
         precond=lambda r: lu_solve(factors, r),
     )
     F_after = optimality_residual(spec, U_next, x0)
@@ -705,16 +711,19 @@ def test_continuation_step_propagates_indefinite_preconditioner():
     before = U.data.copy()
     settings = {**STEP, "solver": "minres", "k_max": 3, "tol": 1e-8}
     with pytest.raises(IndefinitePreconditionerError):
-        continuation_step(spec, U, x0, **settings, precond=lambda r: -r)
+        continuation_step(spec, U, x0, loop_block(spec, U, x0), **settings, precond=lambda r: -r)
     assert np.array_equal(U.data, before)
 
 
 def test_continuation_step_rejects_unknown_solver_before_evaluating(consts, spec10):
+    # with a block or with None, which stands for a diverged one, the step
+    # scores nothing before it checks the solver
     U = initial_guess(consts, 10)
-    with mock.patch.object(continuation, "block_residual") as residual:
-        with pytest.raises(ValueError, match="unknown solver 'cg'"):
-            continuation_step(spec10, U, consts.start, **{**STEP, "solver": "cg"})
-    assert residual.call_count == 0
+    for R in (loop_block(spec10, U, consts.start), None):
+        with mock.patch.object(continuation, "block_residual") as residual:
+            with pytest.raises(ValueError, match="unknown solver 'cg'"):
+                continuation_step(spec10, U, consts.start, R, **{**STEP, "solver": "cg"})
+        assert residual.call_count == 0
 
 
 @pytest.mark.parametrize("solver", ["gmres", "minres"])
@@ -725,70 +734,29 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
     before = U.data.copy()
     settings = {**STEP, "solver": solver, "k_max": 3, "tol": 1e-8}
     with pytest.raises(ValueError):
-        continuation_step(spec, U, x0, **settings, precond=lambda r: r[:-1])
+        continuation_step(
+            spec, U, x0, loop_block(spec, U, x0), **settings, precond=lambda r: r[:-1]
+        )
     assert np.array_equal(U.data, before)
 
 
-def test_continuation_step_given_base_is_bitwise_identical(consts, spec10):
-    # a base is F for a preconditioned step, which stays matrix-free
-    U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start)
-    factors = lu_factor(assemble_jacobian(spec10, U, consts.start, 1e-5)[:, 1:])
-    step = {**STEP, "precond": lambda r: lu_solve(factors, r)}
-    own, norm_own, result_own = continuation_step(spec10, U, consts.start, **step)
-    given_base, norm_given, result_given = continuation_step(
-        spec10, U, consts.start, **step, base=base
-    )
-    assert np.array_equal(own.data, given_base.data)
-    assert norm_own == norm_given
-    for name in ("x", "residual_norm", "iterations", "converged", "breakdown",
-                 "initial_residual_norm"):
-        assert np.array_equal(getattr(result_own, name), getattr(result_given, name)), name
-    assert all(map(np.array_equal, result_own.pairs, result_given.pairs))
-
-
-def test_continuation_step_survives_diverging_krylov_direction():
-    spec = fragile_spec("state")
-    x0 = np.array([0.5])
-    U = DecisionVector(spec.dims, np.full(3, 0.3))
-    with np.errstate(over="ignore"):
-        settings = {**STEP, "k_max": 3, "tol": 1e-8}
-        U_next, norm_F, result = continuation_step(spec, U, x0, **settings)
-    assert math.isfinite(norm_F) and norm_F > 0.0
-    assert np.array_equal(U_next.data, U.data)  # best available update is zero
-    assert U_next.data is not U.data
-    assert result is None  # a degraded step hands back no result and no secant pairs
-
-
-def test_unpreconditioned_step_rejects_a_base_before_evaluating(consts, spec10):
-    # an unpreconditioned step takes F from column 0 of its Jacobian block;
-    # the loop hands a base only to a preconditioned step
-    U = initial_guess(consts, 10)
-    base = optimality_residual(spec10, U, consts.start)
-    with mock.patch.object(continuation, "block_residual") as residual:
-        with pytest.raises(ValueError, match="in its own block; pass no base"):
-            continuation_step(spec10, U, consts.start, **STEP, base=base)
-    assert residual.call_count == 0
-
-
-@pytest.mark.parametrize("N", [10, 40])
-@pytest.mark.parametrize("solver", ["gmres", "minres"])
-def test_unpreconditioned_step_solves_on_the_assembled_block(consts, N, solver):
-    # one kernel call: F and the Jacobian come from assemble_jacobian's
-    # block, and the solve is the plain solver on that matrix, bit for bit
-    spec = problem_spec(consts, N)
-    U = initial_guess(consts, N)
+def _assert_step_solves_on_the_block(spec, U, x, solver, T):
+    # the step evaluates nothing: F comes from column 0 of the block, and the
+    # solve is the solver on the block's Jacobian with the given
+    # preconditioner, bit for bit, and leaves the block as it was
     h = STEP["fd_step"]
-    R = assemble_jacobian(spec, U, consts.start, h)
+    R = assemble_jacobian(spec, U, x, h)
     solve = {"gmres": gmres, "minres": minres}[solver]
-    want = solve(LinearMap(R.shape[0], R[:, 1:].dot), None, -R[:, 0] / h, k_max=10, tol=1e-5)
+    want = solve(LinearMap(R.shape[0], R[:, 1:].dot), T, -R[:, 0] / h, k_max=10, tol=1e-5)
+    before = R.copy()
     kernel = continuation.block_residual
     with mock.patch.object(continuation, "block_residual", side_effect=kernel) as residual:
         U_next, norm_F, result = continuation_step(
-            spec, U, consts.start, **{**STEP, "solver": solver}
+            spec, U, x, R, **{**STEP, "solver": solver}, precond=T
         )
-    assert residual.call_count == 1
-    assert norm_F == continuation._norm(optimality_residual(spec, U, consts.start))
+    assert residual.call_count == 0
+    assert np.array_equal(R, before)
+    assert norm_F == continuation._norm(optimality_residual(spec, U, x))
     assert np.array_equal(U_next.data, U.data + h * want.x)
     for name in ("x", "residual_norm", "iterations", "converged", "breakdown",
                  "initial_residual_norm"):
@@ -797,6 +765,28 @@ def test_unpreconditioned_step_solves_on_the_assembled_block(consts, N, solver):
         assert result.pairs is None
     else:
         assert all(map(np.array_equal, result.pairs, want.pairs))
+
+
+@pytest.mark.parametrize("N", [10, 40])
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+def test_unpreconditioned_step_solves_on_the_assembled_block(consts, N, solver):
+    _assert_step_solves_on_the_block(
+        problem_spec(consts, N), initial_guess(consts, N), consts.start, solver, None
+    )
+
+
+@pytest.mark.parametrize("N", [10, 40])
+@pytest.mark.parametrize("solver", ["gmres", "minres"])
+def test_preconditioned_step_solves_on_the_assembled_block(consts, N, solver):
+    # GMRES takes the loop's LU inverse of the block's own Jacobian, MINRES
+    # an SPD diagonal scaling
+    spec, U = problem_spec(consts, N), initial_guess(consts, N)
+    if solver == "gmres":
+        factors = lu_factor(assemble_jacobian(spec, U, consts.start, STEP["fd_step"])[:, 1:])
+        T = functools.partial(lu_solve, factors)
+    else:
+        T = functools.partial(np.multiply, 0.5)
+    _assert_step_solves_on_the_block(spec, U, consts.start, solver, T)
 
 
 @settings(deadline=None, max_examples=30)
@@ -808,8 +798,9 @@ def test_unpreconditioned_step_solves_on_the_assembled_block(consts, N, solver):
 )
 def test_block_diverging_in_a_difference_column_degrades_the_step(N, data, h, solver):
     # the controls sit on the threshold, so U is finite and a step along any
-    # control diverges: the zero update, no result and F's finite norm, for
-    # one block and one single residual
+    # control diverges: the block diverges and the step, handed None, returns
+    # the zero update, no result and F's finite norm, for one block and one
+    # single residual
     spec = threshold_spec("state", limit=0.5, n_steps=N)
     x0 = np.array([0.5])
     z = np.array(data.draw(st.lists(
@@ -819,9 +810,11 @@ def test_block_diverging_in_a_difference_column_degrades_the_step(N, data, h, so
     U = DecisionVector(spec.dims, z)
     kernel = continuation.block_residual
     with mock.patch.object(continuation, "block_residual", side_effect=kernel) as residual:
+        R = loop_block(spec, U, x0, h)
         U_next, norm_F, result = continuation_step(
-            spec, U, x0, **{**STEP, "fd_step": h, "solver": solver}
+            spec, U, x0, R, **{**STEP, "fd_step": h, "solver": solver}
         )
+    assert R is None
     assert residual.call_count == 2
     assert result is None
     assert np.array_equal(U_next.data, U.data)
@@ -844,14 +837,17 @@ def test_unpreconditioned_step_at_a_diverging_point_raises(blow_up):
     with pytest.raises(TrajectoryDivergedError) as err:
         optimality_residual(spec, U, x0)
     want = (err.value.kind, err.value.step)
+    R = loop_block(spec, U, x0)
+    assert R is None
     with pytest.raises(TrajectoryDivergedError) as err:
-        continuation_step(spec, U, x0, **STEP)
+        continuation_step(spec, U, x0, R, **STEP)
     assert (err.value.kind, err.value.step) == want
 
 
 def test_step_diagnostics_fields(consts, spec10):
     U = initial_guess(consts, 10)
-    U_next, norm_F, result = continuation_step(spec10, U, consts.start, **{**STEP, "k_max": 5})
+    R = loop_block(spec10, U, consts.start)
+    U_next, norm_F, result = continuation_step(spec10, U, consts.start, R, **{**STEP, "k_max": 5})
     assert U_next.dims == U.dims
     assert not np.array_equal(U_next.data, U.data)
     assert result is not None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnmpc import continuation, precond
+from cnmpc import continuation, precond, simcli
 from cnmpc.continuation import (
     DecisionVector,
     OcpDims,
@@ -24,7 +24,7 @@ from cnmpc.krylov import LinearMap, SingularMatrixError, gmres, lu_factor
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from cnmpc.simcli import PRESETS, SimConfig, run_simulation
-from helpers import COLD_START, fragile_spec, random_decision, threshold_spec
+from helpers import COLD_START, fragile_spec, loop_block, random_decision, threshold_spec
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,8 @@ def test_rebuild_count_matches_ceiling(period_steps, t_end):
 
 def test_rebuild_mintime_factors(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, PrecondState())
+    R = assemble_jacobian(spec10, res.U, consts.start, 1e-5)
+    state = precond.rebuild(R, 0.0, PrecondState())
     assert state.inverse.shape == (33, 33)
     assert state.built_at == 0.0
     assert not state.stale
@@ -82,29 +83,50 @@ def test_rebuild_mintime_factors(consts, spec10):
 
 def test_rebuild_deterministic_bitwise(consts, spec10):
     U = initial_guess(consts, 10)
-    a = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, PrecondState())
-    b = precond.rebuild(spec10, U, consts.start, 0.0, 1e-5, PrecondState())
+    a = precond.rebuild(assemble_jacobian(spec10, U, consts.start, 1e-5), 0.0, PrecondState())
+    b = precond.rebuild(assemble_jacobian(spec10, U, consts.start, 1e-5), 0.0, PrecondState())
     assert np.array_equal(a.inverse, b.inverse)
 
 
 @settings(deadline=None, max_examples=12)
 @given(st.sampled_from([1, 10, 40]), st.integers(min_value=0, max_value=2**32 - 1))
 def test_rebuild_residual_and_columns_equal_single_evaluations(N, seed):
-    # the rebuild's residual is the residual of the point, its inverse is the
-    # inverse of the assembled columns, and each column is the single apply
-    # of the difference operator along that axis, all bitwise
+    # the block's column 0 is the residual of the point and each further
+    # column the single apply of the difference operator along that axis;
+    # the rebuild's inverse is exactly lu_factor of those columns, and the
+    # rebuild leaves the block as it was, all bitwise
     spec = problem_spec(MinTimeConstants(), N)
     U = random_decision(spec.dims, seed)
     x = MinTimeConstants().start
-    state = precond.rebuild(spec, U, x, 0.0, 1e-5, PrecondState())
-    F = optimality_residual(spec, U, x)
-    assert np.array_equal(state.residual, F)
     R = assemble_jacobian(spec, U, x, 1e-5)
+    before = R.copy()
+    state = precond.rebuild(R, 0.0, PrecondState())
+    assert np.array_equal(R, before)
+    F = optimality_residual(spec, U, x)
     assert np.array_equal(R[:, 0], F)
     op = difference_operator(spec, U, x, 1e-5, F)
     for j, e in enumerate(np.eye(op.dim)):
         assert np.array_equal(R[:, j + 1], op.apply(e)), j
     assert np.array_equal(state.inverse, lu_factor(R[:, 1:]))
+    assert (state.built_at, state.stale) == (0.0, False)
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_rebuild_without_a_block_keeps_previous_factors(built):
+    # None stands for a block that diverged: the rebuild warns and marks the
+    # state stale, keeping the previous factors, or none before the first
+    # successful rebuild (so the next step rebuilds again)
+    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1) if built else PrecondState()
+    with mock.patch.object(precond, "lu_factor") as factor, pytest.warns(
+        StalePreconditionerWarning, match="t=0.4 hit a failed Jacobian assembly"
+    ):
+        state = precond.rebuild(None, 0.4, prev)
+    assert factor.call_count == 0
+    assert state.stale
+    assert state.inverse is prev.inverse
+    assert state.built_at == prev.built_at
+    # the rebuild is due again at the next sampling point
+    assert precond.should_rebuild(state, 0.42, 0.2, 0.02)
 
 
 def test_rebuild_singular_keeps_previous_factors():
@@ -119,8 +141,8 @@ def test_rebuild_singular_keeps_previous_factors():
     spec = OcpSpec(dims=dims, f=f, H_u=H_u)
     U = DecisionVector(dims, np.array([1.0]))
     prev = PrecondState(inverse=lu_factor(np.eye(1)), built_at=-0.1)
-    with pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.zeros(1), 0.0, 1e-5, prev)
+    with pytest.warns(StalePreconditionerWarning, match="a singular Jacobian"):
+        state = precond.rebuild(assemble_jacobian(spec, U, np.zeros(1), 1e-5), 0.0, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -129,40 +151,17 @@ def test_rebuild_singular_keeps_previous_factors():
 @pytest.mark.parametrize("blow_up", ["state", "residual"])
 def test_rebuild_failed_assembly_keeps_previous_factors(blow_up):
     # "state": every column diverges, so the assembly raises
-    # TrajectoryDivergedError; "residual": the Jacobian comes back with NaNs
+    # TrajectoryDivergedError and the rebuild gets no block; "residual": the
+    # Jacobian comes back with NaNs
     spec = fragile_spec(blow_up)
     U = DecisionVector(spec.dims, np.full(3, 0.3))
     prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
-    with np.errstate(over="ignore"), pytest.warns(StalePreconditionerWarning):
-        state = precond.rebuild(spec, U, np.array([0.5]), 0.0, 1e-5, prev)
-    assert state.stale
-    assert state.inverse is prev.inverse
-    assert state.built_at == -0.1
-    # a diverging block leaves F at the point to the step
-    assert (state.residual is None) == (blow_up == "state")
-
-
-def test_rebuild_diverging_assembly_costs_one_block():
-    # every difference column's state overflows at the first stage: the
-    # assembly costs one block residual and nothing else, returns no
-    # residual, and the warning names the block's recursion and step
-    spec = fragile_spec("state")
-    U = DecisionVector(spec.dims, np.full(3, 0.3))
-    x = np.array([0.5])
-    prev = PrecondState(inverse=lu_factor(np.eye(3)), built_at=-0.1)
-    calls = []
-    original = continuation.block_residual
-
-    def spy(spec_, Z, x_):
-        calls.append(np.ndim(Z))
-        return original(spec_, Z, x_)
-
-    with mock.patch.object(continuation, "block_residual", spy), pytest.warns(
-        StalePreconditionerWarning, match="state recursion diverged at horizon step 1"
-    ):
-        state = precond.rebuild(spec, U, x, 0.0, 1e-5, prev)
-    assert calls == [2]
-    assert state.residual is None
+    with np.errstate(over="ignore"):
+        R = loop_block(spec, U, np.array([0.5]), 1e-5)
+    assert (R is None) == (blow_up == "state")
+    cause = "a failed Jacobian assembly" if R is None else "a Jacobian with non-finite entries"
+    with pytest.warns(StalePreconditionerWarning, match=cause):
+        state = precond.rebuild(R, 0.0, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
@@ -171,37 +170,39 @@ def test_rebuild_diverging_assembly_costs_one_block():
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_rebuild_stale_when_only_a_difference_column_diverges(N, data):
-    # only the unit step along control j crosses the threshold: the rebuild
-    # warns, keeps the previous inverse and leaves F at the point, which is
-    # finite, to the step
+    # only the unit step along control j crosses the threshold: the block
+    # names that column's recursion and step, the rebuild gets no block,
+    # warns and keeps the previous inverse, and F at the point, which the
+    # step scores alone, is finite
     j = data.draw(st.integers(min_value=0, max_value=N - 1))
     spec = threshold_spec("state", 1.0, N)
     z = np.full(N, -1.0)
     z[j] = 0.5
     U, x = DecisionVector(spec.dims, z), np.array([1.0])
+    with pytest.raises(TrajectoryDivergedError) as err:
+        assemble_jacobian(spec, U, x, 1.0)
+    assert (err.value.kind, err.value.step) == ("state", j + 1)
     prev = PrecondState(inverse=lu_factor(np.eye(N)), built_at=-0.1)
-    with pytest.warns(
-        StalePreconditionerWarning, match=f"state recursion diverged at horizon step {j + 1}"
-    ):
-        state = precond.rebuild(spec, U, x, 0.0, 1.0, prev)
+    with pytest.warns(StalePreconditionerWarning, match="a failed Jacobian assembly"):
+        state = precond.rebuild(loop_block(spec, U, x, 1.0), 0.0, prev)
     assert state.stale
     assert state.inverse is prev.inverse
     assert state.built_at == -0.1
-    assert state.residual is None
     assert np.isfinite(optimality_residual(spec, U, x)).all()
 
 
 def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, preset_results):
-    # the case-2 rebuild at t = 0.2 (step 10) meets a block whose difference
-    # columns diverge; the step runs on the inverse that step 9's update
-    # left and evaluates the residual of the point, which equals the
-    # undisturbed run's
-    original = precond.assemble_jacobian
+    # the block of step 10, the case-2 rebuild at t = 0.2, diverges in its
+    # difference columns: the rebuild goes stale on the inverse that step 9's
+    # update left, the step scores the residual of the point alone, which
+    # equals the undisturbed run's, and logs a degraded row, and the loop
+    # runs on, retrying the rebuild at the next step
+    original = simcli.assemble_jacobian
     assemblies = []
 
     def diverging_columns(spec, U, x, step):
         assemblies.append(U)
-        if len(assemblies) != 2:  # the rebuilds are at t = 0 and t = 0.2
+        if len(assemblies) != 11:  # one block per step: step 10's is the 11th
             return original(spec, U, x, step)
         f = spec.f
 
@@ -212,12 +213,12 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
 
         return original(dataclasses.replace(spec, f=f_broken), U, x, step)
 
-    used = []
-    apply = precond.apply
+    built = []
+    rebuild = precond.rebuild
 
-    def spy_apply(state, r):
-        used.append(state)
-        return apply(state, r)
+    def spy_rebuild(R, t, prev):
+        built.append(rebuild(R, t, prev))
+        return built[-1]
 
     updated = []
     update = precond.update
@@ -226,8 +227,8 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
         updated.append(update(state, S, Y))
         return updated[-1]
 
-    monkeypatch.setattr(precond, "assemble_jacobian", diverging_columns)
-    monkeypatch.setattr(precond, "apply", spy_apply)
+    monkeypatch.setattr(simcli, "assemble_jacobian", diverging_columns)
+    monkeypatch.setattr(precond, "rebuild", spy_rebuild)
     monkeypatch.setattr(precond, "update", spy_update)
     cfg = SimConfig(case_preset=2, **PRESETS[2])
     cfg.t_end = 0.3
@@ -235,12 +236,16 @@ def test_loop_runs_the_stale_rebuild_step_on_the_residual_alone(monkeypatch, pre
         records = run_simulation(cfg).records
     want = preset_results[2].records
     assert records[:10] == want[:10]
+    assert len(records) == 15
     assert records[10].rebuilt
     assert records[10].norm_F == want[10].norm_F
-    # a stale rebuild keeps the inverse that the previous step left
-    assert updated[9].inverse is not used[0].inverse
-    stale = [state for state in used if state.stale]
-    assert stale and all(state.inverse is updated[9].inverse for state in stale)
+    assert (records[10].krylov_residual, records[10].iterations) == (math.inf, 0)
+    # a stale rebuild keeps the inverse that the previous step left; the
+    # next step rebuilds from its own block, and the later steps solve
+    assert [state.stale for state in built] == [False, True, False]
+    assert built[1].inverse is updated[9].inverse
+    assert records[11].rebuilt and not any(r.rebuilt for r in records[12:])
+    assert all(math.isfinite(r.krylov_residual) and r.iterations > 0 for r in records[11:])
 
 
 def test_loop_without_a_built_inverse_runs_unpreconditioned(monkeypatch):
@@ -311,8 +316,9 @@ def test_apply_is_linear(alpha, seed):
 
 def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     res = initial_solve(spec10, consts.start, 0.0, initial_guess(consts, 10), **COLD_START)
-    state = precond.rebuild(spec10, res.U, consts.start, 0.0, 1e-5, PrecondState())
-    A = assemble_jacobian(spec10, res.U, consts.start, 1e-5)[:, 1:]
+    R = assemble_jacobian(spec10, res.U, consts.start, 1e-5)
+    state = precond.rebuild(R, 0.0, PrecondState())
+    A = R[:, 1:]
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
     out = gmres(
@@ -354,7 +360,7 @@ def test_update_from_a_linear_map_satisfies_its_secant_equations(m, k_fraction, 
     Q, _ = np.linalg.qr(np.column_stack([state.inverse.T @ S, rng.standard_normal((m, 1))]))
     v = Q[:, -1]
     assert np.allclose(new.inverse @ v, state.inverse @ v, atol=1e-10 * scale)
-    assert (new.built_at, new.stale, new.residual) == (0.0, False, None)
+    assert (new.built_at, new.stale) == (0.0, False)
 
 
 @pytest.mark.parametrize(
@@ -436,14 +442,15 @@ def test_loop_updates_leave_every_built_inverse_unchanged(monkeypatch):
 
 
 def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
-    # the Krylov direction of case-2 step 5 diverges: the step degrades,
-    # makes no update, and step 6 applies the state that step 5 applied
+    # the block of case-2 step 5 diverges while the point itself does not:
+    # the step degrades, applies no preconditioner and makes no update, and
+    # step 6 applies the state that step 4's update returned
     step, calls = [0], [0]
     kernel = continuation.block_residual
 
-    def diverging_apply(*args):
+    def diverging_block(*args):
         calls[0] += 1
-        if step[0] == 5 and calls[0] == 2:  # F, then the first apply
+        if step[0] == 5 and calls[0] == 1:  # the block, then F alone
             raise TrajectoryDivergedError("state", 1)
         return kernel(*args)
 
@@ -459,10 +466,10 @@ def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
         return apply(state, r)
 
     def spy_update(state, S, Y):
-        updated.append(step[0])
-        return update(state, S, Y)
+        updated.append((step[0], update(state, S, Y)))
+        return updated[-1][1]
 
-    monkeypatch.setattr(continuation, "block_residual", diverging_apply)
+    monkeypatch.setattr(continuation, "block_residual", diverging_block)
     monkeypatch.setattr(precond, "apply", spy_apply)
     monkeypatch.setattr(precond, "update", spy_update)
     cfg = SimConfig(case_preset=2, **PRESETS[2])
@@ -470,6 +477,7 @@ def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
     records = run_simulation(cfg, measure=next_step).records
     degraded = [(r.krylov_residual, r.iterations) == (math.inf, 0) for r in records]
     assert degraded == [i == 5 for i in range(7)]
-    assert updated == [0, 1, 2, 3, 4, 6]
+    assert [i for i, _ in updated] == [0, 1, 2, 3, 4, 6]
     at = {i: [state for j, state in used if j == i] for i in (5, 6)}
-    assert at[5] and all(state is at[5][0] for state in at[5] + at[6])
+    assert not at[5]
+    assert at[6] and all(state is updated[4][1] for state in at[6])

@@ -399,16 +399,21 @@ def test_run_without_precond_never_consults_schedule(monkeypatch):
     assert not any(r.rebuilt for r in result.records)
 
 
-@pytest.mark.parametrize("case", [1, 2, 3, 4])
-def test_kernel_calls_per_loop_step(monkeypatch, case):
-    # block_residual calls per loop step: a case-1 step scores F and the
-    # Jacobian in one block and solves on it; the preconditioned cases stay
-    # matrix-free, with one apply per Krylov iteration after a rebuild
-    # step's assembly block (F in its column 0) or after F alone
+@pytest.mark.parametrize(
+    "case, solver",
+    [(1, "gmres"), (2, "gmres"), (3, "gmres"), (4, "gmres"), (1, "minres")],
+    ids=["1", "2", "3", "4", "minres"],
+)
+def test_kernel_calls_per_loop_step(monkeypatch, case, solver):
+    # block_residual calls per loop step: every step scores F and the
+    # Jacobian in one block and solves on it, and a due rebuild inverts that
+    # same block, so with no stale rebuild the LU count is the rebuild count
     calls = []
     marks = []
+    factored = []
     kernel = continuation.block_residual
     cold_start = simcli.initial_solve
+    lu_factor = precond.lu_factor
 
     def spy(*args):
         calls.append(1)
@@ -423,17 +428,29 @@ def test_kernel_calls_per_loop_step(monkeypatch, case):
         marks.append(len(calls))
         return x
 
+    def spy_lu_factor(A):
+        factored.append(1)
+        return lu_factor(A)
+
     monkeypatch.setattr(continuation, "block_residual", spy)
     monkeypatch.setattr(simcli, "initial_solve", marked_cold_start)
-    records = run_simulation(SimConfig(case_preset=case, **PRESETS[case]), measure=mark).records
+    monkeypatch.setattr(precond, "lu_factor", spy_lu_factor)
+    cfg = SimConfig(case_preset=case, **PRESETS[case])
+    cfg.solver = solver
+    if solver == "minres":
+        cfg.t_end = 0.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", StalePreconditionerWarning)
+        records = run_simulation(cfg, measure=mark).records
     per_step = [b - a for a, b in zip(marks, marks[1:])]
     assert len(per_step) == len(records)
+    assert per_step == [1] * len(records)
+    assert len(factored) == sum(r.rebuilt for r in records)
     if case == 1:
-        assert per_step == [1] * len(records)
+        assert len(factored) == 0
         assert all(r.iterations == 10 for r in records)
     else:
-        assert sum(r.rebuilt for r in records) > 1
-        assert per_step == [1 + r.iterations for r in records]
+        assert len(factored) > 1
         assert all(0 < r.iterations for r in records)
 
 
