@@ -51,12 +51,8 @@ class TrajectoryDivergedError(RuntimeError):
 
 
 class ColdStartError(RuntimeError):
-    """The initial stationarity solve could not make progress."""
-
-    def __init__(self, message: str, best: Optional["DecisionVector"], residual_norm: float):
-        super().__init__(message)
-        self.best = best
-        self.residual_norm = residual_norm
+    """The initial stationarity solve could not make progress; the message
+    says why and at which residual norm."""
 
 
 @dataclass(frozen=True)
@@ -475,8 +471,9 @@ def difference_operator(
 
     ``apply(v)`` returns (F[U + step*v] - base) / step for a direction of
     shape (m,), where ``base`` is F at (U, x); an apply costs one residual
-    evaluation.  The loop does not call it: it is the matrix-free reference
-    that :func:`assemble_jacobian`'s columns equal bitwise.
+    evaluation.  No program path calls it: it is the test reference that
+    :func:`assemble_jacobian`'s columns equal bitwise, kept because the
+    benchmark's tracing wraps it.
     """
     if step <= 0.0:
         raise ValueError("difference step must be positive")
@@ -554,7 +551,7 @@ def continuation_step(
     solve = gmres if solver == "gmres" else minres
     # a contiguous copy: a matvec on the strided slice is 2-3 times slower
     F, A = R[:, 0], R[:, 1:].copy()
-    result = solve(LinearMap(A.shape[0], A.dot), precond, -F / fd_step, k_max=k_max, tol=tol)
+    result = solve(A, precond, -F / fd_step, k_max=k_max, tol=tol)
     return DecisionVector(U.dims, U.data + fd_step * result.x), _norm(F), result
 
 
@@ -584,8 +581,8 @@ def _scored(spec: OcpSpec, U: DecisionVector, x0: np.ndarray):
     return F, _norm(F)
 
 
-def _stuck(cause: str, U: DecisionVector, norm: float) -> ColdStartError:
-    return ColdStartError(f"{cause} in cold start (residual norm {norm:.3e})", U, norm)
+def _stuck(cause: str, norm: float) -> ColdStartError:
+    return ColdStartError(f"{cause} in cold start (residual norm {norm:.3e})")
 
 
 def _backtrack(spec: OcpSpec, U: DecisionVector, delta: np.ndarray, x0: np.ndarray, norm: float):
@@ -672,14 +669,12 @@ def initial_solve(
     A guess whose trajectory diverges, a Jacobian assembly whose block
     diverges, a Jacobian with non-finite entries and a Jacobian that stays
     singular (or turns non-finite) after a small diagonal shift raise
-    :class:`ColdStartError` carrying the best iterate and its residual norm
-    (infinite for a diverging guess); for a diverging guess or assembly the
-    message names the recursion and the horizon step.  A failure on a coarse
-    rung names the rung's horizon, and its best iterate is resampled up to
-    the spec's horizon and carries the residual norm there (infinite where
-    that trajectory diverges).  The assembly is one block residual, so a
-    diverging one costs one block.  Any other error in it is a bug and
-    propagates.
+    :class:`ColdStartError`, whose message names the cause and the residual
+    norm of the best iterate (infinite for a diverging guess); for a
+    diverging guess or assembly it also names the recursion and the horizon
+    step, and a failure on a coarse rung names the rung's horizon.  The
+    assembly is one block residual, so a diverging one costs one block.  Any
+    other error in it is a bug and propagates.
     """
     if U_guess.dims != spec.dims:
         raise ValueError(f"expected a guess on {spec.dims}, got one on {U_guess.dims}")
@@ -698,11 +693,8 @@ def initial_solve(
         except ColdStartError as exc:
             if N == spec.dims.N:
                 raise
-            best = _resampled(exc.best, spec.dims)
             raise ColdStartError(
-                f"{exc} on the rung N = {N} of the horizon ladder to N = {spec.dims.N}",
-                best,
-                _scored(spec, best, x0)[1],
+                f"{exc} on the rung N = {N} of the horizon ladder to N = {spec.dims.N}"
             ) from exc
         iterations += res.newton_iterations
         # a rung that stalls hands nothing up: the next one starts from the guess
@@ -723,7 +715,7 @@ def _newton(
     try:
         F = optimality_residual(spec, U, x0)
     except TrajectoryDivergedError as exc:
-        raise _stuck(f"non-finite trajectory of the guess ({exc})", U, math.inf) from exc
+        raise _stuck(f"non-finite trajectory of the guess ({exc})", math.inf) from exc
     norm = _norm(F)
     iterations = 0
     for _ in range(max_newton):
@@ -732,19 +724,19 @@ def _newton(
         try:
             A = assemble_jacobian(spec, U, x0, fd_step)[:, 1:]
         except TrajectoryDivergedError as exc:
-            raise _stuck(f"failed Jacobian assembly ({exc})", U, norm) from exc
+            raise _stuck(f"failed Jacobian assembly ({exc})", norm) from exc
         if not np.isfinite(A).all():
-            raise _stuck("non-finite Jacobian", U, norm)
+            raise _stuck("non-finite Jacobian", norm)
         try:
             delta = dense_solve(A, -F)
         except SingularMatrixError:
             shifted = _shifted(A)
             if not np.isfinite(shifted).all():
-                raise _stuck("singular Jacobian with a non-finite shift", U, norm)
+                raise _stuck("singular Jacobian with a non-finite shift", norm)
             try:
                 delta = dense_solve(shifted, -F)
             except SingularMatrixError as exc:
-                raise _stuck("singular Jacobian", U, norm) from exc
+                raise _stuck("singular Jacobian", norm) from exc
         iterations += 1
         found = _backtrack(spec, U, delta, x0, norm)
         if found is None:

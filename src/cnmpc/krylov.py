@@ -1,8 +1,7 @@
-"""Matrix-free Krylov solvers with a dense LAPACK backend.
+"""Krylov solvers on a dense matrix, with a dense LAPACK backend.
 
-GMRES (without restarts) and MINRES operate on an abstract matrix-vector
-map, so the same code serves exact matrices and finite-difference
-directional-derivative operators.  The dense routines are thin checked
+GMRES (without restarts) and MINRES take the (m, m) matrix itself and touch
+it only through matrix-vector products.  The dense routines are thin checked
 wrappers of numpy's LAPACK: :func:`lu_factor` forms the explicit inverse that
 the preconditioner applies with one matvec, and :func:`dense_solve` is the
 cold start's direct Newton solve.
@@ -35,12 +34,9 @@ Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A dimension-preserving map ``v -> apply(v)``.
-
-    The map may be mildly nonlinear (e.g. a forward-difference quotient of a
-    nonlinear residual); the solvers only require that repeated calls on the
-    same input return identical output.
-    """
+    """A dimension-preserving map ``v -> apply(v)``, the type of
+    :func:`~cnmpc.continuation.difference_operator`; the benchmark's tracing
+    builds one to wrap that operator's applies, which pins it."""
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
@@ -58,8 +54,8 @@ class KrylovResult:
     ``initial_residual_norm`` the preconditioned norm of the right-hand
     side; their ratio is :attr:`relative_residual`.  ``pairs`` is
     ``(S, Y)``, the (m, k) Krylov basis of a GMRES solve of k iterations and
-    the operator's products ``Y[:, j] = op.apply(S[:, j])``; None for MINRES,
-    which keeps no basis, and for a zero right-hand side.
+    the products ``Y = A S``; None for MINRES, which keeps no basis, and for
+    a zero right-hand side.
     """
 
     x: np.ndarray
@@ -87,7 +83,7 @@ def _identity(r: np.ndarray) -> np.ndarray:
 
 
 def _start(
-    op: LinearMap,
+    A: np.ndarray,
     precond: Optional[Preconditioner],
     b: np.ndarray,
     k_max: int,
@@ -98,7 +94,9 @@ def _start(
     Returns the preconditioner (the identity for None), the initial
     residual r = b of the zero guess and its preconditioned form T(r).
     """
-    m = op.dim
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    m = A.shape[0]
     b = np.asarray(b, dtype=float)
     if b.shape != (m,):
         raise ValueError(f"right-hand side must have length {m}")
@@ -107,8 +105,6 @@ def _start(
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
     T = precond if precond is not None else _identity
-    # Both exactly linear maps and difference quotients vanish at 0, so the
-    # initial residual needs no operator evaluation.
     r = b.copy()
     return T, r, np.asarray(T(r), dtype=float)
 
@@ -203,13 +199,13 @@ class _HessenbergLsq:
 
 
 def gmres(
-    op: LinearMap,
+    A: np.ndarray,
     precond: Optional[Preconditioner],
     b: np.ndarray,
     k_max: int,
     tol: float,
 ) -> KrylovResult:
-    """Preconditioned GMRES without restarts.
+    """Preconditioned GMRES without restarts on the (m, m) matrix ``A``.
 
     Arnoldi runs on the preconditioned operator with one classical
     Gram-Schmidt pass per step; the Hessenberg least-squares problem is kept
@@ -217,31 +213,32 @@ def gmres(
     residual estimate is available every iteration.  Iteration stops once
     that estimate drops below ``tol`` times the initial preconditioned
     residual norm, so ``tol=0`` runs a fixed ``k_max`` iterations.  An
-    Arnoldi normalization at most ``op.dim * eps`` times the norm of the
+    Arnoldi normalization at most ``m * eps`` times the norm of the
     preconditioned product it came from, taken before the Gram-Schmidt
     pass, is flagged as a (lucky) breakdown: what is left of the product is
     rounding, the solution is exact in the current subspace and is returned
     with ``converged=True``.
 
-    Each product ``op.apply(v_j)`` is stored in one contiguous row, and that
+    Each product ``A.dot(v_j)`` is stored in one contiguous row, and that
     row is what the preconditioner receives; the basis and the products are
     returned as ``pairs`` for a secant update of the preconditioner.
     """
-    T, _, z = _start(op, precond, b, k_max, tol)
+    T, _, z = _start(A, precond, b, k_max, tol)
+    m = A.shape[0]
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
-        return _solved(op.dim)
+        return _solved(m)
 
-    V = np.zeros((op.dim, k_max + 1))
-    AV = np.empty((k_max, op.dim))
+    V = np.zeros((m, k_max + 1))
+    AV = np.empty((k_max, m))
     V[:, 0] = z / beta
     lsq = _HessenbergLsq(beta)
     breakdown = False
     est = beta
-    bd_ratio = op.dim * _EPS
+    bd_ratio = m * _EPS
     k = 0
     while k < k_max:
-        AV[k] = op.apply(V[:, k])
+        AV[k] = A.dot(V[:, k])
         w = np.asarray(T(AV[k]), dtype=float)
         wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w  # classical Gram-Schmidt, single pass
@@ -271,28 +268,30 @@ def gmres(
 
 
 def minres(
-    op: LinearMap,
+    A: np.ndarray,
     precond: Optional[Preconditioner],
     b: np.ndarray,
     k_max: int,
     tol: float,
 ) -> KrylovResult:
-    """Preconditioned MINRES via the three-term Lanczos recurrence.
+    """Preconditioned MINRES on the (m, m) matrix ``A`` via the three-term
+    Lanczos recurrence.
 
-    Requires a (nearly) symmetric map and a symmetric positive definite
+    Requires a (nearly) symmetric matrix and a symmetric positive definite
     preconditioner; a negative Lanczos inner product is reported as an
     :class:`IndefinitePreconditionerError` since it indicates a violated
     caller contract.  Storage is a fixed handful of working vectors
     regardless of ``k_max``.  The residual estimate tracked is the
-    preconditioner-weighted norm of ``b - op(x)``; convergence and the early
+    preconditioner-weighted norm of ``b - A x``; convergence and the early
     stop use the same relative criterion as :func:`gmres`.
     """
-    T, r1, y = _start(op, precond, b, k_max, tol)
+    T, r1, y = _start(A, precond, b, k_max, tol)
+    m = A.shape[0]
     beta1 = _weighted_norm(r1, y)
     if beta1 == 0.0:
-        return _solved(op.dim)
+        return _solved(m)
 
-    x = np.zeros(op.dim)
+    x = np.zeros(m)
     oldb = 0.0
     beta = beta1
     dbar = 0.0
@@ -300,15 +299,15 @@ def minres(
     phibar = beta1
     cs = -1.0
     sn = 0.0
-    w = np.zeros(op.dim)
-    w2 = np.zeros(op.dim)
+    w = np.zeros(m)
+    w2 = np.zeros(m)
     r2 = r1
     itn = 0
     breakdown = False
     while itn < k_max:
         itn += 1
         v = y / beta
-        y = np.asarray(op.apply(v), dtype=float)
+        y = A.dot(v)
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = float(v @ y)

@@ -45,10 +45,10 @@ __all__ = [
 # iteration budget, and three preconditioned variants trading rebuild
 # frequency against the per-step iteration cap.
 PRESETS: dict[int, dict] = {
-    1: {"precond_enabled": False, "k_max": 10},
-    2: {"precond_enabled": True, "t_p": 0.2, "k_max": 1},
-    3: {"precond_enabled": True, "t_p": 0.4, "k_max": 2},
-    4: {"precond_enabled": True, "t_p": 0.4, "k_max": 10},
+    1: {"k_max": 10},
+    2: {"t_p": 0.2, "k_max": 1},
+    3: {"t_p": 0.4, "k_max": 2},
+    4: {"t_p": 0.4, "k_max": 10},
 }
 
 EXIT_COLD_START = 3
@@ -58,8 +58,9 @@ EXIT_COLD_START = 3
 class SimConfig:
     """Simulation settings; presets fill the solver-related fields.
 
-    The cold-start tolerance and Newton cap are class constants, not fields:
-    no preset, config key or flag sets them.
+    ``t_p`` is the preconditioner's rebuild period; None runs without a
+    preconditioner.  The cold-start tolerance and Newton cap are class
+    constants, not fields: no preset, config key or flag sets them.
     """
 
     case_preset: Optional[int] = None
@@ -68,8 +69,7 @@ class SimConfig:
     h: float = 1e-5
     tol: float = 1e-5
     k_max: int = 10
-    precond_enabled: bool = False
-    t_p: float = 0.2
+    t_p: Optional[float] = None
     solver: str = "gmres"
     t_end: float = 2.0
     stop_radius: float = 1e-2
@@ -92,7 +92,7 @@ class SimConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.k_max < 1:
             raise ValueError(f"kmax must be at least 1, got {self.k_max}")
-        if not 0.0 < self.t_p < math.inf:
+        if self.t_p is not None and not 0.0 < self.t_p < math.inf:
             raise ValueError(f"tp must be positive and finite, got {self.t_p}")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"tmax must be nonnegative and finite, got {self.t_end}")
@@ -100,10 +100,10 @@ class SimConfig:
             raise ValueError(f"stop_radius must be positive and finite, got {self.stop_radius}")
         if self.solver not in ("gmres", "minres"):
             raise ValueError(f"solver must be gmres or minres, got {self.solver}")
-        if self.solver == "minres" and self.precond_enabled:
+        if self.solver == "minres" and self.t_p is not None:
             # MINRES needs an SPD preconditioner; the LU inverse of the
             # non-symmetric Jacobian is not one, so every step would degrade.
-            raise ValueError("solver minres requires precond off: the LU preconditioner is not SPD")
+            raise ValueError("solver minres requires tp off: the LU preconditioner is not SPD")
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ def run_simulation(
     if init.residual_norm > cfg.cold_start_tol:
         raise ColdStartError(
             f"cold start stalled at residual norm {init.residual_norm:.6e} "
-            f"(target {cfg.cold_start_tol:g})",
-            init.U,
-            init.residual_norm,
+            f"(target {cfg.cold_start_tol:g})"
         )
 
     U = init.U
@@ -200,7 +198,7 @@ def run_simulation(
             R = assemble_jacobian(spec, U, x, cfg.h)
         except TrajectoryDivergedError:
             R = None
-        rebuilt = cfg.precond_enabled and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
+        rebuilt = cfg.t_p is not None and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(R, t, prev=pstate)
         T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
@@ -334,13 +332,9 @@ def compare_runs(baseline: SimResult, candidate: SimResult) -> RunComparison:
 _CONFIG_CONSTANT_KEYS = {f.name.replace("_", ""): f.name for f in fields(MinTimeConstants)}
 
 
-def _parse_bool(token: str) -> bool:
-    low = token.lower()
-    if low in ("on", "true", "1", "yes"):
-        return True
-    if low in ("off", "false", "0", "no"):
-        return False
-    raise ValueError(f"expected on/off, got {token!r}")
+def _parse_tp(token: str) -> Optional[float]:
+    """A rebuild period, or None for ``off``: no preconditioner."""
+    return None if token == "off" else float(token)
 
 
 # Solver settings: config-file key -> (SimConfig field, parser, flag help).
@@ -348,8 +342,7 @@ def _parse_bool(token: str) -> bool:
 # arrive as strings and go through the same parser as file values.
 _SETTINGS: dict[str, tuple[str, Callable[[str], object], Optional[str]]] = {
     "kmax": ("k_max", int, "max Krylov iterations per step"),
-    "tp": ("t_p", float, "preconditioner rebuild period (s)"),
-    "precond": ("precond_enabled", _parse_bool, "preconditioning: on or off"),
+    "tp": ("t_p", _parse_tp, "preconditioner rebuild period (s), or off for none"),
     "solver": ("solver", str, "Krylov solver: gmres or minres"),
     "dt": ("dt", float, "system sampling period (s)"),
     "N": ("n_steps", int, "horizon step count"),

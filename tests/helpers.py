@@ -296,7 +296,7 @@ def sequential_newton(spec, x0, U_guess, tol_init, max_newton, fd_step):
             try:
                 delta = dense_solve(A + shift * np.eye(m), -F)
             except SingularMatrixError as exc:
-                raise ColdStartError("singular Jacobian", U, norm) from exc
+                raise ColdStartError("singular Jacobian") from exc
         alpha = 1.0
         improved = False
         for _ in range(21):
@@ -545,29 +545,31 @@ def numpy_scalar_hessenberg_lsq(H, beta):
     return y, lsq.residual, deficient
 
 
-def numpy_scalar_gmres(op, precond, b, k_max, tol):
-    """Independent oracle: the GMRES loop with its Hessenberg column built by
-    ``np.append``, every operator and preconditioner value converted with
-    ``np.asarray``, and the rotations of :class:`NumpyScalarHessenbergLsq`."""
-    T, _, z = krylov._start(op, precond, b, k_max, tol)
+def numpy_scalar_gmres(A, precond, b, k_max, tol):
+    """Independent oracle: the GMRES loop on the matrix ``A`` with its
+    Hessenberg column built by ``np.append``, every product and
+    preconditioner value converted with ``np.asarray``, and the rotations of
+    :class:`NumpyScalarHessenbergLsq`."""
+    T, _, z = krylov._start(A, precond, b, k_max, tol)
+    m = A.shape[0]
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
-        return krylov._solved(op.dim)
-    V = np.zeros((op.dim, k_max + 1))
+        return krylov._solved(m)
+    V = np.zeros((m, k_max + 1))
     V[:, 0] = z / beta
     lsq = NumpyScalarHessenbergLsq(beta)
     breakdown = False
     est = beta
     k = 0
     while k < k_max:
-        w = np.asarray(T(np.asarray(op.apply(V[:, k]), dtype=float)), dtype=float)
+        w = np.asarray(T(np.asarray(A.dot(V[:, k]), dtype=float)), dtype=float)
         wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w
         w = w - V[:, : k + 1] @ hk
         hnorm = float(np.linalg.norm(w))
         est = lsq.push(np.append(hk, hnorm))
         k += 1
-        if hnorm <= op.dim * np.finfo(float).eps * wnorm:
+        if hnorm <= m * np.finfo(float).eps * wnorm:
             breakdown = True
             break
         V[:, k] = w / hnorm

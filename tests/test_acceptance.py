@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cnmpc.continuation import assemble_jacobian, difference_operator, optimality_residual
-from cnmpc.krylov import LinearMap, dense_solve, gmres, lu_factor, lu_solve, minres
+from cnmpc.krylov import dense_solve, gmres, lu_factor, lu_solve, minres
 from cnmpc.mintime import initial_guess
 from cnmpc.simcli import PRESETS, SimConfig, compare_runs, run_simulation, write_csv
 from helpers import central_residual_oracle, random_decision
@@ -110,17 +110,16 @@ def test_criterion_8_krylov_oracle():
         b = rng.standard_normal(m)
         ref = dense_solve(A, b)
         scale = np.linalg.norm(ref)
-        op = LinearMap(m, lambda v, A=A: A @ v)
-        g = gmres(op, None, b, k_max=m, tol=1e-12)
-        mr = minres(op, None, b, k_max=m, tol=1e-12)
+        g = gmres(A, None, b, k_max=m, tol=1e-12)
+        mr = minres(A, None, b, k_max=m, tol=1e-12)
         worst_g = max(worst_g, np.linalg.norm(g.x - ref) / scale)
         worst_m = max(worst_m, np.linalg.norm(mr.x - ref) / scale)
         factors = lu_factor(A)
         T = lambda r, f=factors: lu_solve(f, r)
         worst_pc = max(
             worst_pc,
-            gmres(op, T, b, k_max=m, tol=1e-10).iterations,
-            minres(op, T, b, k_max=m, tol=1e-10).iterations,
+            gmres(A, T, b, k_max=m, tol=1e-10).iterations,
+            minres(A, T, b, k_max=m, tol=1e-10).iterations,
         )
     ok = worst_g <= 1e-8 and worst_m <= 1e-8 and worst_pc <= 2
     report(

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnmpc.continuation import difference_operator, optimality_residual
+from cnmpc.continuation import assemble_jacobian
 from cnmpc.krylov import (
-    LinearMap,
     SingularMatrixError,
     dense_solve,
     gmres,
@@ -27,11 +26,6 @@ from helpers import (
 )
 
 EPS = np.finfo(float).eps
-
-
-def matrix_map(A):
-    A = np.asarray(A, dtype=float)
-    return LinearMap(A.shape[0], lambda v: A @ v)
 
 
 def random_spd(rng, m, kappa):
@@ -61,7 +55,7 @@ def random_symmetric_indefinite(rng, m, kappa):
 
 def test_gmres_identity_one_step():
     b = np.array([1.0, 2.0, 3.0])
-    res = gmres(matrix_map(np.eye(3)), None, b, k_max=3, tol=1e-12)
+    res = gmres(np.eye(3), None, b, k_max=3, tol=1e-12)
     assert np.allclose(res.x, b, atol=1e-14)
     assert res.iterations == 1
     assert res.converged
@@ -72,7 +66,7 @@ def test_gmres_diagonal_matches_direct_solve():
     b = np.array([1.0, 2.0, 4.0])
     expected = dense_solve(A, b)  # oracle: direct factorization
     assert np.allclose(expected, [1.0, 1.0, 1.0])
-    res = gmres(matrix_map(A), None, b, k_max=3, tol=1e-12)
+    res = gmres(A, None, b, k_max=3, tol=1e-12)
     assert np.linalg.norm(res.x - expected) <= 1e-10
     assert np.linalg.norm(b - A @ res.x) <= 1e-10
 
@@ -82,14 +76,14 @@ def test_gmres_exact_preconditioner_one_iteration():
     A = random_spd(rng, 12, 1e3)
     inverse = lu_factor(A)
     b = rng.standard_normal(12)
-    res = gmres(matrix_map(A), lambda r: lu_solve(inverse, r), b, k_max=12, tol=1e-10)
+    res = gmres(A, lambda r: lu_solve(inverse, r), b, k_max=12, tol=1e-10)
     assert res.iterations == 1
     assert res.converged
     assert np.linalg.norm(b - A @ res.x) <= 1e-8 * np.linalg.norm(b)
 
 
 def test_gmres_zero_rhs_returns_initial_guess():
-    res = gmres(matrix_map(np.eye(4)), None, np.zeros(4), k_max=4, tol=1e-10)
+    res = gmres(np.eye(4), None, np.zeros(4), k_max=4, tol=1e-10)
     assert res.iterations == 0
     assert res.converged
     assert np.all(res.x == 0.0)
@@ -108,7 +102,7 @@ def test_zero_tol_runs_k_max_iterations(m, data, seed):
     A = random_spd(rng, m, 10.0)
     b = rng.standard_normal(m)
     for solve in (gmres, minres):
-        res = solve(matrix_map(A), None, b, k_max=k_max, tol=0.0)
+        res = solve(A, None, b, k_max=k_max, tol=0.0)
         assert res.iterations == k_max or res.breakdown
 
 
@@ -137,7 +131,7 @@ def test_breakdown_implies_converged(m, rank, kind, tol, seed):
     b = rng.standard_normal(m)
     solvers = (gmres, minres) if kind == "symmetric" else (gmres,)
     for solve in solvers:
-        res = solve(matrix_map(A), None, b, k_max=m, tol=tol)
+        res = solve(A, None, b, k_max=m, tol=tol)
         assert res.converged or not res.breakdown
 
 
@@ -145,7 +139,7 @@ def test_gmres_respects_iteration_cap():
     rng = np.random.default_rng(5)
     A = random_spd(rng, 30, 1e3)
     b = rng.standard_normal(30)
-    res = gmres(matrix_map(A), None, b, k_max=4, tol=1e-14)
+    res = gmres(A, None, b, k_max=4, tol=1e-14)
     assert res.iterations == 4
     assert not res.converged
 
@@ -157,7 +151,7 @@ def test_gmres_residual_estimate_monotone(m, seed):
     A = random_spd(rng, m, 1e3)
     b = rng.standard_normal(m)
     # one more iteration never raises the estimate: sweep the iteration cap
-    est = [gmres(matrix_map(A), None, b, k_max=k, tol=1e-12).residual_norm for k in range(1, m + 1)]
+    est = [gmres(A, None, b, k_max=k, tol=1e-12).residual_norm for k in range(1, m + 1)]
     slack = 10 * EPS * np.linalg.norm(b)
     for a, b_ in zip(est, est[1:]):
         assert b_ <= a + slack
@@ -169,7 +163,7 @@ def test_gmres_finite_termination(m, seed):
     rng = np.random.default_rng(seed)
     A = random_spd_logspread(rng, m, 1e3)
     b = rng.standard_normal(m)
-    res = gmres(matrix_map(A), None, b, k_max=m, tol=0.0)
+    res = gmres(A, None, b, k_max=m, tol=0.0)
     assert np.linalg.norm(b - A @ res.x) <= 1e-8 * np.linalg.norm(b)
 
 
@@ -178,19 +172,13 @@ def test_gmres_finite_termination(m, seed):
 def test_gmres_arnoldi_basis_orthonormal(m, seed):
     # At the solver's operating tolerance; pushing convergence to machine
     # level at k = m makes the last single-pass Gram-Schmidt vector marginal.
-    # The Arnoldi vectors are the vectors the operator is applied to.
+    # The Arnoldi vectors are the basis GMRES returns in its pairs.
     rng = np.random.default_rng(seed)
     A = random_spd(rng, m, 1e3)
     b = rng.standard_normal(m)
-    applied = []
-
-    def recording(v):
-        applied.append(np.array(v))
-        return A @ v
-
-    res = gmres(LinearMap(m, recording), None, b, k_max=m, tol=1e-5)
-    assert len(applied) == res.iterations
-    V = np.column_stack(applied)
+    res = gmres(A, None, b, k_max=m, tol=1e-5)
+    V = res.pairs[0]
+    assert V.shape == (m, res.iterations)
     G = V.T @ V
     assert np.max(np.abs(G - np.eye(G.shape[0]))) <= 1e-8
 
@@ -199,7 +187,7 @@ def test_gmres_final_residual_matches_true_residual():
     rng = np.random.default_rng(17)
     A = random_spd(rng, 20, 100.0)
     b = rng.standard_normal(20)
-    res = gmres(matrix_map(A), None, b, k_max=9, tol=1e-14)
+    res = gmres(A, None, b, k_max=9, tol=1e-14)
     true = np.linalg.norm(b - A @ res.x)
     assert math.isclose(res.residual_norm, true, rel_tol=1e-6, abs_tol=1e-12)
 
@@ -210,7 +198,7 @@ def test_gmres_final_residual_matches_true_residual():
 
 def test_minres_identity_one_step():
     b = np.array([5.0, -5.0])
-    res = minres(matrix_map(np.eye(2)), None, b, k_max=2, tol=1e-12)
+    res = minres(np.eye(2), None, b, k_max=2, tol=1e-12)
     assert np.allclose(res.x, b, atol=1e-12)
     assert res.iterations == 1
 
@@ -219,7 +207,7 @@ def test_minres_exact_preconditioner_one_iteration():
     A = np.diag([1.0, 3.0])
     b = np.array([1.0, 3.0])
     inverse = lu_factor(A)
-    res = minres(matrix_map(A), lambda r: lu_solve(inverse, r), b, k_max=2, tol=1e-12)
+    res = minres(A, lambda r: lu_solve(inverse, r), b, k_max=2, tol=1e-12)
     assert res.iterations == 1
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
 
@@ -229,7 +217,7 @@ def test_minres_random_symmetric_matches_direct_solve():
     A = random_spd(rng, 20, 500.0)
     b = rng.standard_normal(20)
     expected = dense_solve(A, b)
-    res = minres(matrix_map(A), None, b, k_max=20, tol=1e-12)
+    res = minres(A, None, b, k_max=20, tol=1e-12)
     assert np.linalg.norm(res.x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
@@ -237,7 +225,7 @@ def test_minres_handles_indefinite_matrix():
     rng = np.random.default_rng(29)
     A = random_symmetric_indefinite(rng, 16, 100.0)
     b = rng.standard_normal(16)
-    res = minres(matrix_map(A), None, b, k_max=48, tol=1e-11)
+    res = minres(A, None, b, k_max=48, tol=1e-11)
     assert np.linalg.norm(b - A @ res.x) <= 1e-7 * np.linalg.norm(b)
 
 
@@ -245,7 +233,7 @@ def test_minres_rejects_indefinite_preconditioner():
     A = np.eye(3)
     b = np.array([1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="positive definite"):
-        minres(matrix_map(A), lambda r: -r, b, k_max=3, tol=1e-10)
+        minres(A, lambda r: -r, b, k_max=3, tol=1e-10)
 
 
 @settings(deadline=None, max_examples=15)
@@ -254,8 +242,8 @@ def test_minres_gmres_agree_on_symmetric_systems(m, seed):
     rng = np.random.default_rng(seed)
     A = random_spd(rng, m, 1e3)
     b = rng.standard_normal(m)
-    g = gmres(matrix_map(A), None, b, k_max=m, tol=1e-10)
-    mres = minres(matrix_map(A), None, b, k_max=m, tol=1e-10)
+    g = gmres(A, None, b, k_max=m, tol=1e-10)
+    mres = minres(A, None, b, k_max=m, tol=1e-10)
     scale = np.linalg.norm(g.x)
     assert np.linalg.norm(g.x - mres.x) <= 1e-6 * scale
 
@@ -334,20 +322,20 @@ def test_hessenberg_lsq_equals_numpy_scalar_oracle_bitwise(k, zero_columns, beta
 
 
 def _oracle_problem(kind, m, seed):
-    """A (map, right-hand side) pair: a dense matrix, a rank-one matrix
-    (GMRES breaks down) or the minimum-time difference operator at N = 10."""
+    """A (matrix, right-hand side) pair: a dense matrix, a rank-one matrix
+    (GMRES breaks down) or the minimum-time difference Jacobian at N = 10
+    with the loop's right-hand side -F/h."""
     rng = np.random.default_rng(seed)
     if kind == "mintime":
         c = MinTimeConstants()
         U = initial_guess(c, 10)
         U.data[:] += 0.01 * rng.standard_normal(U.data.size)
-        spec = problem_spec(c, 10)
-        F = optimality_residual(spec, U, c.start)
-        return difference_operator(spec, U, c.start, 1e-5, F), -F / 1e-5
+        R = assemble_jacobian(problem_spec(c, 10), U, c.start, 1e-5)
+        return R[:, 1:], -R[:, 0] / 1e-5
     A = rng.standard_normal((m, m))
     if kind == "rank_one":
         A = np.outer(rng.standard_normal(m), rng.standard_normal(m))
-    return matrix_map(A), rng.standard_normal(m)
+    return A, rng.standard_normal(m)
 
 
 @settings(deadline=None, max_examples=60)
@@ -360,12 +348,12 @@ def _oracle_problem(kind, m, seed):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_gmres_equals_numpy_scalar_oracle_bitwise(kind, m, k_fraction, tol, scaled, seed):
-    op, b = _oracle_problem(kind, m, seed)
-    k_max = max(1, math.ceil(k_fraction * op.dim))
-    weights = np.linspace(1.0, 3.0, op.dim)
+    A, b = _oracle_problem(kind, m, seed)
+    k_max = max(1, math.ceil(k_fraction * len(b)))
+    weights = np.linspace(1.0, 3.0, len(b))
     precond = (lambda r: r / weights) if scaled else None
-    got = gmres(op, precond, b, k_max=k_max, tol=tol)
-    want = numpy_scalar_gmres(op, precond, b, k_max=k_max, tol=tol)
+    got = gmres(A, precond, b, k_max=k_max, tol=tol)
+    want = numpy_scalar_gmres(A, precond, b, k_max=k_max, tol=tol)
     assert _bits(got.x) == _bits(want.x)
     assert _bits(got.residual_norm) == _bits(want.residual_norm)
     assert _bits(got.initial_residual_norm) == _bits(want.initial_residual_norm)
@@ -381,8 +369,8 @@ def test_gmres_flags_a_breakdown_relative_to_the_product_norm():
     # 3.5e-16 times its product's norm, 2.3 times eps times the right-hand
     # side's norm: a breakdown measured against the right-hand side is missed,
     # and the next basis vector is pure rounding
-    op, b = _oracle_problem("rank_one", 5, 1)
-    res = gmres(op, None, b, k_max=5, tol=0.0)
+    A, b = _oracle_problem("rank_one", 5, 1)
+    res = gmres(A, None, b, k_max=5, tol=0.0)
     assert (res.iterations, res.breakdown, res.converged) == (2, True, True)
     S, _ = res.pairs
     assert np.abs(S.T @ S - np.eye(2)).max() <= 1e-12
@@ -399,16 +387,16 @@ def test_gmres_flags_a_breakdown_relative_to_the_product_norm():
 def test_gmres_pairs_are_its_basis_and_the_operator_products_bitwise(
     kind, m, k_fraction, scaled, seed
 ):
-    # each column of Y is the apply of the same column of S, bit for bit
-    op, b = _oracle_problem(kind, m, seed)
-    k_max = max(1, math.ceil(k_fraction * op.dim))
-    weights = np.linspace(1.0, 3.0, op.dim)
+    # each column of Y is A times the same column of S, bit for bit
+    A, b = _oracle_problem(kind, m, seed)
+    k_max = max(1, math.ceil(k_fraction * len(b)))
+    weights = np.linspace(1.0, 3.0, len(b))
     precond = (lambda r: r / weights) if scaled else None
-    res = gmres(op, precond, b, k_max=k_max, tol=1e-5)
+    res = gmres(A, precond, b, k_max=k_max, tol=1e-5)
     S, Y = res.pairs
-    assert S.shape == Y.shape == (op.dim, res.iterations)
+    assert S.shape == Y.shape == (len(b), res.iterations)
     for j in range(res.iterations):
-        assert _bits(Y[:, j]) == _bits(op.apply(S[:, j])), j
+        assert _bits(Y[:, j]) == _bits(A.dot(S[:, j])), j
 
 
 def test_gmres_preconditioner_receives_the_stored_product():
@@ -420,17 +408,25 @@ def test_gmres_preconditioner_receives_the_stored_product():
         return 2.0 * r
 
     A = np.random.default_rng(5).standard_normal((6, 6)) + 6.0 * np.eye(6)
-    res = gmres(matrix_map(A), precond, np.ones(6), k_max=4, tol=0.0)
+    res = gmres(A, precond, np.ones(6), k_max=4, tol=0.0)
     S, Y = res.pairs
     assert [np.shares_memory(r, Y) for r in seen] == [False] + [True] * res.iterations
     for j, r in enumerate(seen[1:]):
         assert _bits(r) == _bits(Y[:, j])
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (2, 3, 3)])
+def test_solvers_reject_a_matrix_that_is_not_square(shape):
+    # a vector would broadcast its scalar products into the basis unnoticed
+    for solve in (gmres, minres):
+        with pytest.raises(ValueError, match="square"):
+            solve(np.ones(shape), None, np.ones(3), k_max=3, tol=1e-10)
+
+
 def test_solves_without_a_basis_return_no_pairs():
     A = np.diag([1.0, 2.0, 3.0])
-    assert gmres(matrix_map(A), None, np.zeros(3), k_max=3, tol=1e-10).pairs is None
-    assert minres(matrix_map(A), None, np.ones(3), k_max=3, tol=1e-10).pairs is None
+    assert gmres(A, None, np.zeros(3), k_max=3, tol=1e-10).pairs is None
+    assert minres(A, None, np.ones(3), k_max=3, tol=1e-10).pairs is None
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +595,7 @@ def test_dense_solve_cross_checks_gmres():
     A = random_spd(rng, 15, 200.0)
     b = rng.standard_normal(15)
     direct = dense_solve(A, b)
-    iterative = gmres(matrix_map(A), None, b, k_max=15, tol=1e-13)
+    iterative = gmres(A, None, b, k_max=15, tol=1e-13)
     assert np.linalg.norm(direct - iterative.x) <= 1e-8 * np.linalg.norm(direct)
 
 

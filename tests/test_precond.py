@@ -20,7 +20,7 @@ from cnmpc.continuation import (
     initial_solve,
     optimality_residual,
 )
-from cnmpc.krylov import LinearMap, SingularMatrixError, gmres, lu_factor
+from cnmpc.krylov import SingularMatrixError, gmres, lu_factor
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_spec
 from cnmpc.precond import PrecondState, StalePreconditionerWarning
 from cnmpc.simcli import PRESETS, SimConfig, run_simulation
@@ -261,7 +261,7 @@ def test_loop_without_a_built_inverse_runs_unpreconditioned(monkeypatch):
     cfg.t_end = 0.02
     with pytest.warns(StalePreconditionerWarning, match="t=0 hit a singular Jacobian"):
         step = run_simulation(cfg).records[0]
-    plain = SimConfig(precond_enabled=False, k_max=PRESETS[2]["k_max"], t_end=0.02)
+    plain = SimConfig(k_max=PRESETS[2]["k_max"], t_end=0.02)
     assert dataclasses.replace(step, rebuilt=False) == run_simulation(plain).records[0]
 
 
@@ -321,9 +321,7 @@ def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     A = R[:, 1:]
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
-    out = gmres(
-        LinearMap(33, lambda v: A @ v), functools.partial(precond.apply, state), b, k_max=33, tol=1e-10
-    )
+    out = gmres(A, functools.partial(precond.apply, state), b, k_max=33, tol=1e-10)
     assert out.iterations <= 2
     assert out.converged
 
@@ -339,8 +337,8 @@ def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 def test_update_from_a_linear_map_satisfies_its_secant_equations(m, k_fraction, seed):
-    # GMRES on an exactly linear map, preconditioned by the inverse of a
-    # perturbed matrix, for at most m/2 iterations (so that the basis is
+    # GMRES on a matrix, preconditioned by the inverse of a perturbed
+    # matrix, for at most m/2 iterations (so that the basis is
     # not yet rounding noise): the updated inverse maps each product Y to its
     # basis vector S to rounding, and still agrees with the old inverse on
     # the vectors orthogonal to the columns of M'S
@@ -348,10 +346,8 @@ def test_update_from_a_linear_map_satisfies_its_secant_equations(m, k_fraction, 
     A = rng.standard_normal((m, m)) + m * np.eye(m)
     state = PrecondState(inverse=lu_factor(A + rng.standard_normal((m, m))), built_at=0.0)
     k_max = max(1, math.ceil(k_fraction * m / 2))
-    out = gmres(
-        LinearMap(m, lambda v: A @ v), functools.partial(precond.apply, state),
-        rng.standard_normal(m), k_max=k_max, tol=0.0,
-    )
+    T = functools.partial(precond.apply, state)
+    out = gmres(A, T, rng.standard_normal(m), k_max=k_max, tol=0.0)
     S, Y = out.pairs
     new = precond.update(state, S, Y)
     assert new is not state

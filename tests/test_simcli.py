@@ -33,14 +33,15 @@ from cnmpc.simcli import (
 
 
 def test_presets_match_documented_cases():
-    assert PRESETS[1] == {"precond_enabled": False, "k_max": 10}
-    assert PRESETS[2] == {"precond_enabled": True, "t_p": 0.2, "k_max": 1}
-    assert PRESETS[3] == {"precond_enabled": True, "t_p": 0.4, "k_max": 2}
-    assert PRESETS[4] == {"precond_enabled": True, "t_p": 0.4, "k_max": 10}
+    assert PRESETS[1] == {"k_max": 10}
+    assert PRESETS[2] == {"t_p": 0.2, "k_max": 1}
+    assert PRESETS[3] == {"t_p": 0.4, "k_max": 2}
+    assert PRESETS[4] == {"t_p": 0.4, "k_max": 10}
 
 
 def test_config_defaults():
     cfg = SimConfig()
+    assert cfg.t_p is None  # no preconditioner
     assert cfg.dt == 0.02
     assert cfg.n_steps == 10
     assert cfg.h == 1e-5
@@ -56,7 +57,6 @@ def test_config_defaults():
 def test_parse_cli_case_two_maps_preset():
     cfg = parse_cli(["--case", "2"])
     assert cfg.case_preset == 2
-    assert cfg.precond_enabled
     assert cfg.t_p == 0.2
     assert cfg.k_max == 1
 
@@ -72,7 +72,7 @@ def test_parse_cli_flag_overrides_preset():
     cfg = parse_cli(["--case", "1", "--kmax", "5"])
     assert cfg.case_preset == 1
     assert cfg.k_max == 5
-    assert not cfg.precond_enabled
+    assert cfg.t_p is None
 
 
 def test_parse_cli_rejects_unknown_flag():
@@ -90,7 +90,7 @@ def test_parse_cli_rejects_unknown_flag():
         ["--case", "1", "--h", "0"],
         ["--case", "1", "--tol", "-1"],
         ["--case", "1", "--solver", "cg"],
-        ["--case", "1", "--precond", "maybe"],
+        ["--case", "1", "--tp", "maybe"],
         ["--case", "2", "--tp", "0"],
         # non-finite values: NaN passes every ordering check, so each is named
         ["--case", "1", "--dt", "nan"],
@@ -112,7 +112,8 @@ def test_parse_cli_out_of_range_values(argv):
     "argv",
     [
         ["--case", "3", "--solver", "minres"],
-        ["--case", "1", "--solver", "minres", "--precond", "on"],
+        ["--case", "1", "--solver", "minres", "--tp", "0.2"],
+        ["--case", "2", "--solver", "minres"],
     ],
 )
 def test_parse_cli_rejects_minres_with_preconditioner(argv, capsys):
@@ -123,12 +124,37 @@ def test_parse_cli_rejects_minres_with_preconditioner(argv, capsys):
     assert "minres" in capsys.readouterr().err
 
 
+def test_parse_cli_accepts_minres_with_the_preconditioner_off():
+    cfg = parse_cli(["--case", "2", "--solver", "minres", "--tp", "off"])
+    assert (cfg.solver, cfg.t_p, cfg.k_max) == ("minres", None, 1)
+
+
+def test_tp_off_runs_without_a_preconditioner(tmp_path):
+    # "off" is the one spelling of no preconditioner, as a flag and as a key
+    assert parse_cli(["--case", "2", "--tp", "off"]).t_p is None
+    path = tmp_path / "run.cfg"
+    path.write_text("case = 4\ntp = off\n")
+    assert parse_cli(["--config", str(path)]).t_p is None
+    assert parse_cli(["--case", "1", "--tp", "0.3"]).t_p == 0.3
+
+
+@pytest.mark.parametrize("given", ["flag", "key"])
+def test_precond_setting_is_gone(tmp_path, given, capsys):
+    # the preconditioner is switched by tp alone
+    path = tmp_path / "run.cfg"
+    path.write_text("case = 1\nprecond = on\n")
+    argv = ["--case", "1", "--precond", "on"] if given == "flag" else ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        parse_cli(argv)
+    assert exc.value.code == 2
+    assert "precond" in capsys.readouterr().err
+
+
 def test_parse_cli_collects_remaining_flags(tmp_path):
     out = tmp_path / "run.csv"
     cfg = parse_cli(
         ["--case", "3", "--solver", "minres", "--dt", "0.01", "--N", "20", "--h", "1e-6",
-         "--tol", "1e-4", "--tmax", "1.5", "--tp", "0.3", "--precond", "off",
-         "--out", str(out)]
+         "--tol", "1e-4", "--tmax", "1.5", "--tp", "off", "--out", str(out)]
     )
     assert cfg.solver == "minres"
     assert cfg.dt == 0.01
@@ -136,8 +162,7 @@ def test_parse_cli_collects_remaining_flags(tmp_path):
     assert cfg.h == 1e-6
     assert cfg.tol == 1e-4
     assert cfg.t_end == 1.5
-    assert cfg.t_p == 0.3
-    assert not cfg.precond_enabled
+    assert cfg.t_p is None
     assert cfg.out_path == out
 
 
@@ -485,7 +510,7 @@ def test_non_finite_time_to_go_is_no_arrival(case, step, p):
                 run_simulation(cfg)
     assert (exc_info.value.kind, exc_info.value.step) == ("state", 1)
     assert len(calls) == step
-    rebuild_next = cfg.precond_enabled and step % round(cfg.t_p / cfg.dt) == 0
+    rebuild_next = cfg.t_p is not None and step % round(cfg.t_p / cfg.dt) == 0
     assert [type(w.message) for w in caught] == [StalePreconditionerWarning] * rebuild_next
 
 
@@ -579,6 +604,15 @@ def test_main_writes_csv_and_exits_zero(tmp_path, capsys):
     assert out.exists()
     captured = capsys.readouterr()
     assert "arrival" in captured.out
+
+
+def test_case_four_with_tp_off_writes_case_one_csv(tmp_path, capsys):
+    # both are unpreconditioned runs with k_max = 10
+    plain, off = tmp_path / "case1.csv", tmp_path / "case4_off.csv"
+    assert main(["--case", "1", "--out", str(plain)]) == 0
+    assert main(["--case", "4", "--tp", "off", "--out", str(off)]) == 0
+    assert off.read_bytes() == plain.read_bytes()
+    assert "preconditioner rebuilds: 0" in capsys.readouterr().out
 
 
 def test_main_summary_totals_are_the_csv_sums(tmp_path, capsys):
