@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Run the four canonical benchmark cases and write CSVs plus comparison
-reports into an output directory.
+"""Run the four canonical benchmark cases and case 1 under MINRES, and write
+CSVs plus comparison reports into an output directory.
 
 Each CSV's SHA-256 is printed next to its path, so two builds' outputs are
 byte-identical exactly when the printed digests are.
@@ -24,9 +24,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
+    runs = {case: SimConfig(case_preset=case, **PRESETS[case]) for case in sorted(PRESETS)}
+    runs["1-minres"] = SimConfig(case_preset=1, **PRESETS[1], solver="minres")
     results = {}
-    for case in sorted(PRESETS):
-        cfg = SimConfig(case_preset=case, **PRESETS[case])
+    for case, cfg in runs.items():
         start = time.perf_counter()
         results[case] = run_simulation(cfg)
         elapsed = time.perf_counter() - start
