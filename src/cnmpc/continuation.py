@@ -18,7 +18,6 @@ import numpy as np
 from .krylov import (
     KrylovResult,
     LinearMap,
-    Preconditioner,
     SingularMatrixError,
     dense_solve,
     gmres,
@@ -521,27 +520,28 @@ def continuation_step(
     k_max: int,
     tol: float,
     solver: str,
-    precond: Optional[Preconditioner] = None,
+    precond: Optional[np.ndarray] = None,
 ) -> tuple[DecisionVector, float, Optional[KrylovResult]]:
     """Advance the tracked solution U by one sampling period.
 
     ``R`` is :func:`assemble_jacobian`'s block at (U, x) with the difference
     step h = ``fd_step``: F in column 0 and the difference Jacobian A in
     columns 1..m.  Solves A W = -F/h from W = 0 by ``solver`` ("gmres" or
-    "minres"), preconditioned by ``precond`` (None for none), with at most
-    ``k_max`` iterations to the relative tolerance ``tol``, and returns
-    ``(U + h*W, norm of F, result)``, where ``result`` is the solve's own
-    :class:`~cnmpc.krylov.KrylovResult`.  Its ``pairs`` are the secant
-    pairs ``(S, Y)`` with ``A S = Y`` (None for MINRES and a zero
-    residual).  An unknown solver raises ValueError before any evaluation.
+    "minres"), preconditioned by the matrix ``precond`` (None for none),
+    with at most ``k_max`` iterations to the relative tolerance ``tol``, and
+    returns ``(U + h*W, norm of F, result)``, where ``result`` is the
+    solve's own :class:`~cnmpc.krylov.KrylovResult`.  Its ``pairs`` are
+    the secant pairs ``(S, Y)`` with ``A S = Y`` (None for MINRES and a
+    zero residual).  An unknown solver raises ValueError before any evaluation.
 
     ``R`` None stands for a block whose trajectory diverged.  The step then
     scores F alone, since the block does not tell whether U itself or a
     difference column diverged: a point whose own trajectory diverges
     raises :class:`TrajectoryDivergedError`; otherwise the step returns the
     zero update and a None result, keeping the control loop alive.  Any
-    other error, such as a preconditioner that returns the wrong shape or
-    that MINRES rejects as indefinite, is a bug and propagates.
+    other error, such as a preconditioner of the wrong shape (a ValueError
+    before any product) or one that MINRES rejects as indefinite, is a bug
+    and propagates.
     """
     if solver not in ("gmres", "minres"):
         raise ValueError(f"unknown solver {solver!r}")

@@ -1,10 +1,9 @@
 """Krylov solvers on a dense matrix, with a dense LAPACK backend.
 
-GMRES (without restarts) and MINRES take the (m, m) matrix itself and touch
-it only through matrix-vector products.  The dense routines are thin checked
-wrappers of numpy's LAPACK: :func:`lu_factor` forms the explicit inverse that
-the preconditioner applies with one matvec, and :func:`dense_solve` is the
-cold start's direct Newton solve.
+GMRES (without restarts) and MINRES take the (m, m) matrix and, as their
+preconditioner, None or the inverse that :func:`lu_factor` forms, and touch
+both only through matrix-vector products, the preconditioner's by
+:func:`lu_solve`.  :func:`dense_solve` is the cold start's direct Newton solve.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-
-Preconditioner = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -78,21 +75,18 @@ class IndefinitePreconditionerError(ValueError):
     is not positive definite."""
 
 
-def _identity(r: np.ndarray) -> np.ndarray:
-    return r
-
-
 def _start(
     A: np.ndarray,
-    precond: Optional[Preconditioner],
+    precond: Optional[np.ndarray],
     b: np.ndarray,
     k_max: int,
     tol: float,
-) -> tuple[Preconditioner, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Checked arguments of a solve and its starting residuals.
 
-    Returns the preconditioner (the identity for None), the initial
-    residual r = b of the zero guess and its preconditioned form T(r).
+    Returns the initial residual r = b of the zero guess and its
+    preconditioned form (r itself for None).  A preconditioner of another
+    shape than A's is rejected before any product is formed.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -104,9 +98,10 @@ def _start(
         raise ValueError("k_max must be at least 1")
     if tol < 0.0:
         raise ValueError("tol must be nonnegative")
-    T = precond if precond is not None else _identity
+    if precond is not None and precond.shape != A.shape:
+        raise ValueError(f"preconditioner shape {precond.shape} is not the matrix's {A.shape}")
     r = b.copy()
-    return T, r, np.asarray(T(r), dtype=float)
+    return r, r if precond is None else lu_solve(precond, r)
 
 
 def _solved(m: int) -> KrylovResult:
@@ -122,7 +117,7 @@ def _solved(m: int) -> KrylovResult:
 
 
 def _weighted_norm(r: np.ndarray, y: np.ndarray) -> float:
-    """sqrt(r'y) for y = T(r); a negative r'y means T is not positive definite."""
+    """sqrt(r'y) for y = M r; a negative r'y means M is not positive definite."""
     sq = float(r @ y)
     if sq < 0.0:
         raise IndefinitePreconditionerError(
@@ -200,13 +195,14 @@ class _HessenbergLsq:
 
 def gmres(
     A: np.ndarray,
-    precond: Optional[Preconditioner],
+    precond: Optional[np.ndarray],
     b: np.ndarray,
     k_max: int,
     tol: float,
 ) -> KrylovResult:
     """Preconditioned GMRES without restarts on the (m, m) matrix ``A``.
 
+    ``precond`` is None or an (m, m) matrix M, applied as ``lu_solve(M, .)``.
     Arnoldi runs on the preconditioned operator with one classical
     Gram-Schmidt pass per step; the Hessenberg least-squares problem is kept
     triangular by incremental Givens rotations, so the preconditioned
@@ -220,10 +216,10 @@ def gmres(
     with ``converged=True``.
 
     Each product ``A.dot(v_j)`` is stored in one contiguous row, and that
-    row is what the preconditioner receives; the basis and the products are
-    returned as ``pairs`` for a secant update of the preconditioner.
+    row is what the preconditioner multiplies; the basis and the products
+    are returned as ``pairs`` for a secant update of the preconditioner.
     """
-    T, _, z = _start(A, precond, b, k_max, tol)
+    _, z = _start(A, precond, b, k_max, tol)
     m = A.shape[0]
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
@@ -239,7 +235,7 @@ def gmres(
     k = 0
     while k < k_max:
         AV[k] = A.dot(V[:, k])
-        w = np.asarray(T(AV[k]), dtype=float)
+        w = AV[k] if precond is None else lu_solve(precond, AV[k])
         wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w  # classical Gram-Schmidt, single pass
         w = w - V[:, : k + 1] @ hk
@@ -269,7 +265,7 @@ def gmres(
 
 def minres(
     A: np.ndarray,
-    precond: Optional[Preconditioner],
+    precond: Optional[np.ndarray],
     b: np.ndarray,
     k_max: int,
     tol: float,
@@ -277,15 +273,16 @@ def minres(
     """Preconditioned MINRES on the (m, m) matrix ``A`` via the three-term
     Lanczos recurrence.
 
-    Requires a (nearly) symmetric matrix and a symmetric positive definite
-    preconditioner; a negative Lanczos inner product is reported as an
+    Requires a (nearly) symmetric matrix and a ``precond`` that is None or,
+    applied as in :func:`gmres`, a symmetric positive definite matrix; a
+    negative Lanczos inner product is reported as an
     :class:`IndefinitePreconditionerError` since it indicates a violated
     caller contract.  Storage is a fixed handful of working vectors
     regardless of ``k_max``.  The residual estimate tracked is the
     preconditioner-weighted norm of ``b - A x``; convergence and the early
     stop use the same relative criterion as :func:`gmres`.
     """
-    T, r1, y = _start(A, precond, b, k_max, tol)
+    r1, y = _start(A, precond, b, k_max, tol)
     m = A.shape[0]
     beta1 = _weighted_norm(r1, y)
     if beta1 == 0.0:
@@ -314,7 +311,7 @@ def minres(
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
-        y = np.asarray(T(r2), dtype=float)
+        y = r2 if precond is None else lu_solve(precond, r2)
         oldb = beta
         beta = _weighted_norm(r2, y)
 
@@ -376,7 +373,8 @@ def lu_factor(A: np.ndarray) -> np.ndarray:
 
 
 def lu_solve(inverse: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Apply an inverse from :func:`lu_factor` to r."""
+    """Apply an inverse from :func:`lu_factor` to r: the solvers' one
+    preconditioner apply per iteration."""
     r = np.asarray(r, dtype=float)
     m = inverse.shape[0]
     if r.shape != (m,):

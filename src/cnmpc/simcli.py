@@ -8,7 +8,6 @@ per-step diagnostics to CSV and supporting run-to-run comparison reports.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import statistics
 import sys
@@ -201,12 +200,11 @@ def run_simulation(
         rebuilt = cfg.t_p is not None and precond.should_rebuild(pstate, t, cfg.t_p, cfg.dt)
         if rebuilt:
             pstate = precond.rebuild(R, t, prev=pstate)
-        T = None if pstate.inverse is None else functools.partial(precond.apply, pstate)
         U, norm_F, result = continuation_step(
             spec, U, x, R, fd_step=cfg.h, k_max=cfg.k_max, tol=cfg.tol, solver=cfg.solver,
-            precond=T,
+            precond=pstate.inverse,
         )
-        if T is not None and result is not None and result.pairs is not None:
+        if pstate.inverse is not None and result is not None and result.pairs is not None:
             # the products GMRES formed keep the inverse current
             pstate = precond.update(pstate, *result.pairs)
         u_applied = U.u(0)

@@ -546,11 +546,11 @@ def numpy_scalar_hessenberg_lsq(H, beta):
 
 
 def numpy_scalar_gmres(A, precond, b, k_max, tol):
-    """Independent oracle: the GMRES loop on the matrix ``A`` with its
-    Hessenberg column built by ``np.append``, every product and
-    preconditioner value converted with ``np.asarray``, and the rotations of
-    :class:`NumpyScalarHessenbergLsq`."""
-    T, _, z = krylov._start(A, precond, b, k_max, tol)
+    """Independent oracle: the GMRES loop on the matrix ``A`` and the
+    preconditioner matrix ``precond`` (or None) with its Hessenberg column
+    built by ``np.append``, every product converted with ``np.asarray``, and
+    the rotations of :class:`NumpyScalarHessenbergLsq`."""
+    _, z = krylov._start(A, precond, b, k_max, tol)
     m = A.shape[0]
     beta = float(np.linalg.norm(z))
     if beta == 0.0:
@@ -562,7 +562,9 @@ def numpy_scalar_gmres(A, precond, b, k_max, tol):
     est = beta
     k = 0
     while k < k_max:
-        w = np.asarray(T(np.asarray(A.dot(V[:, k]), dtype=float)), dtype=float)
+        w = np.asarray(A.dot(V[:, k]), dtype=float)
+        if precond is not None:
+            w = np.asarray(np.dot(precond, w), dtype=float)
         wnorm = float(np.linalg.norm(w))
         hk = V[:, : k + 1].T @ w
         w = w - V[:, : k + 1] @ hk

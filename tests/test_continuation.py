@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 from unittest import mock
@@ -27,7 +26,6 @@ from cnmpc.krylov import (
     IndefinitePreconditionerError,
     gmres,
     lu_factor,
-    lu_solve,
     minres,
 )
 from cnmpc.mintime import MinTimeConstants, initial_guess, problem_dims, problem_spec
@@ -693,8 +691,7 @@ def test_continuation_step_affine_newton_exact():
     R = assemble_jacobian(spec, U, x0, 1e-6)
     factors = lu_factor(R[:, 1:])
     U_next, _, result = continuation_step(
-        spec, U, x0, R, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres",
-        precond=lambda r: lu_solve(factors, r),
+        spec, U, x0, R, fd_step=1e-6, k_max=3, tol=1e-12, solver="gmres", precond=factors
     )
     F_after = optimality_residual(spec, U_next, x0)
     assert np.linalg.norm(F_after) <= 1e-8
@@ -710,7 +707,9 @@ def test_continuation_step_propagates_indefinite_preconditioner():
     before = U.data.copy()
     settings = {**STEP, "solver": "minres", "k_max": 3, "tol": 1e-8}
     with pytest.raises(IndefinitePreconditionerError):
-        continuation_step(spec, U, x0, loop_block(spec, U, x0), **settings, precond=lambda r: -r)
+        continuation_step(
+            spec, U, x0, loop_block(spec, U, x0), **settings, precond=-np.eye(U.data.size)
+        )
     assert np.array_equal(U.data, before)
 
 
@@ -727,31 +726,30 @@ def test_continuation_step_rejects_unknown_solver_before_evaluating(consts, spec
 
 @pytest.mark.parametrize("solver", ["gmres", "minres"])
 def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
+    # the solver rejects the shape up front, before any product
     spec = quadratic_spec()
     x0 = np.array([0.5])
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
     before = U.data.copy()
     settings = {**STEP, "solver": solver, "k_max": 3, "tol": 1e-8}
-    with pytest.raises(ValueError):
-        continuation_step(
-            spec, U, x0, loop_block(spec, U, x0), **settings, precond=lambda r: r[:-1]
-        )
+    with pytest.raises(ValueError, match=r"preconditioner shape \(2, 2\) is not the matrix's \(3, 3\)"):
+        continuation_step(spec, U, x0, loop_block(spec, U, x0), **settings, precond=np.eye(2))
     assert np.array_equal(U.data, before)
 
 
-def _assert_step_solves_on_the_block(spec, U, x, solver, T):
+def _assert_step_solves_on_the_block(spec, U, x, solver, M):
     # the step evaluates nothing: F comes from column 0 of the block, and the
     # solve is the solver on the block's Jacobian with the given
     # preconditioner, bit for bit, and leaves the block as it was
     h = STEP["fd_step"]
     R = assemble_jacobian(spec, U, x, h)
     solve = {"gmres": gmres, "minres": minres}[solver]
-    want = solve(R[:, 1:], T, -R[:, 0] / h, k_max=10, tol=1e-5)
+    want = solve(R[:, 1:], M, -R[:, 0] / h, k_max=10, tol=1e-5)
     before = R.copy()
     kernel = continuation.block_residual
     with mock.patch.object(continuation, "block_residual", side_effect=kernel) as residual:
         U_next, norm_F, result = continuation_step(
-            spec, U, x, R, **{**STEP, "solver": solver}, precond=T
+            spec, U, x, R, **{**STEP, "solver": solver}, precond=M
         )
     assert residual.call_count == 0
     assert np.array_equal(R, before)
@@ -781,11 +779,10 @@ def test_preconditioned_step_solves_on_the_assembled_block(consts, N, solver):
     # an SPD diagonal scaling
     spec, U = problem_spec(consts, N), initial_guess(consts, N)
     if solver == "gmres":
-        factors = lu_factor(assemble_jacobian(spec, U, consts.start, STEP["fd_step"])[:, 1:])
-        T = functools.partial(lu_solve, factors)
+        M = lu_factor(assemble_jacobian(spec, U, consts.start, STEP["fd_step"])[:, 1:])
     else:
-        T = functools.partial(np.multiply, 0.5)
-    _assert_step_solves_on_the_block(spec, U, consts.start, solver, T)
+        M = np.diag(np.full(spec.dims.decision_size, 0.5))
+    _assert_step_solves_on_the_block(spec, U, consts.start, solver, M)
 
 
 @settings(deadline=None, max_examples=30)

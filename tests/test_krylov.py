@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cnmpc import krylov
 from cnmpc.continuation import assemble_jacobian
 from cnmpc.krylov import (
     SingularMatrixError,
@@ -76,7 +77,7 @@ def test_gmres_exact_preconditioner_one_iteration():
     A = random_spd(rng, 12, 1e3)
     inverse = lu_factor(A)
     b = rng.standard_normal(12)
-    res = gmres(A, lambda r: lu_solve(inverse, r), b, k_max=12, tol=1e-10)
+    res = gmres(A, inverse, b, k_max=12, tol=1e-10)
     assert res.iterations == 1
     assert res.converged
     assert np.linalg.norm(b - A @ res.x) <= 1e-8 * np.linalg.norm(b)
@@ -207,7 +208,7 @@ def test_minres_exact_preconditioner_one_iteration():
     A = np.diag([1.0, 3.0])
     b = np.array([1.0, 3.0])
     inverse = lu_factor(A)
-    res = minres(A, lambda r: lu_solve(inverse, r), b, k_max=2, tol=1e-12)
+    res = minres(A, inverse, b, k_max=2, tol=1e-12)
     assert res.iterations == 1
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
 
@@ -233,7 +234,7 @@ def test_minres_rejects_indefinite_preconditioner():
     A = np.eye(3)
     b = np.array([1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="positive definite"):
-        minres(A, lambda r: -r, b, k_max=3, tol=1e-10)
+        minres(A, -np.eye(3), b, k_max=3, tol=1e-10)
 
 
 @settings(deadline=None, max_examples=15)
@@ -350,8 +351,7 @@ def _oracle_problem(kind, m, seed):
 def test_gmres_equals_numpy_scalar_oracle_bitwise(kind, m, k_fraction, tol, scaled, seed):
     A, b = _oracle_problem(kind, m, seed)
     k_max = max(1, math.ceil(k_fraction * len(b)))
-    weights = np.linspace(1.0, 3.0, len(b))
-    precond = (lambda r: r / weights) if scaled else None
+    precond = np.diag(1.0 / np.linspace(1.0, 3.0, len(b))) if scaled else None
     got = gmres(A, precond, b, k_max=k_max, tol=tol)
     want = numpy_scalar_gmres(A, precond, b, k_max=k_max, tol=tol)
     assert _bits(got.x) == _bits(want.x)
@@ -390,8 +390,7 @@ def test_gmres_pairs_are_its_basis_and_the_operator_products_bitwise(
     # each column of Y is A times the same column of S, bit for bit
     A, b = _oracle_problem(kind, m, seed)
     k_max = max(1, math.ceil(k_fraction * len(b)))
-    weights = np.linspace(1.0, 3.0, len(b))
-    precond = (lambda r: r / weights) if scaled else None
+    precond = np.diag(1.0 / np.linspace(1.0, 3.0, len(b))) if scaled else None
     res = gmres(A, precond, b, k_max=k_max, tol=1e-5)
     S, Y = res.pairs
     assert S.shape == Y.shape == (len(b), res.iterations)
@@ -399,16 +398,17 @@ def test_gmres_pairs_are_its_basis_and_the_operator_products_bitwise(
         assert _bits(Y[:, j]) == _bits(A.dot(S[:, j])), j
 
 
-def test_gmres_preconditioner_receives_the_stored_product():
-    # the preconditioner is called with the row GMRES keeps, not a copy
+def test_gmres_preconditioner_receives_the_stored_product(monkeypatch):
+    # the preconditioner is applied to the row GMRES keeps, not a copy
     seen = []
 
-    def precond(r):
+    def spy_lu_solve(inverse, r):
         seen.append(r)
-        return 2.0 * r
+        return lu_solve(inverse, r)
 
+    monkeypatch.setattr(krylov, "lu_solve", spy_lu_solve)
     A = np.random.default_rng(5).standard_normal((6, 6)) + 6.0 * np.eye(6)
-    res = gmres(A, precond, np.ones(6), k_max=4, tol=0.0)
+    res = gmres(A, 2.0 * np.eye(6), np.ones(6), k_max=4, tol=0.0)
     S, Y = res.pairs
     assert [np.shares_memory(r, Y) for r in seen] == [False] + [True] * res.iterations
     for j, r in enumerate(seen[1:]):
@@ -421,6 +421,31 @@ def test_solvers_reject_a_matrix_that_is_not_square(shape):
     for solve in (gmres, minres):
         with pytest.raises(ValueError, match="square"):
             solve(np.ones(shape), None, np.ones(3), k_max=3, tol=1e-10)
+
+
+class _NoProducts(np.ndarray):
+    """A matrix that fails the test as soon as anything multiplies it."""
+
+    def dot(self, *args, **kwargs):
+        raise AssertionError("the matrix was multiplied")
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3,), (3, 4), (1, 3, 3)])
+@pytest.mark.parametrize("solve", [gmres, minres])
+def test_solvers_reject_a_wrong_shape_preconditioner_before_any_product(
+    monkeypatch, solve, shape
+):
+    applies = []
+
+    def spy_lu_solve(M, r):
+        applies.append(r)
+        return lu_solve(M, r)
+
+    monkeypatch.setattr(krylov, "lu_solve", spy_lu_solve)
+    A = np.eye(3).view(_NoProducts)
+    with pytest.raises(ValueError, match=r"preconditioner shape .* is not the matrix's \(3, 3\)"):
+        solve(A, np.ones(shape), np.ones(3), k_max=3, tol=1e-10)
+    assert applies == []
 
 
 def test_solves_without_a_basis_return_no_pairs():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 from unittest import mock
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnmpc import continuation, precond, simcli
+from cnmpc import continuation, krylov, precond, simcli
 from cnmpc.continuation import (
     DecisionVector,
     OcpDims,
@@ -256,7 +255,7 @@ def test_loop_without_a_built_inverse_runs_unpreconditioned(monkeypatch):
         raise SingularMatrixError("forced")
 
     monkeypatch.setattr(precond, "lu_factor", singular)
-    monkeypatch.setattr(precond, "apply", None)  # must not be reached
+    monkeypatch.setattr(krylov, "lu_solve", None)  # must not be reached
     cfg = SimConfig(case_preset=2, **PRESETS[2])
     cfg.t_end = 0.02
     with pytest.warns(StalePreconditionerWarning, match="t=0 hit a singular Jacobian"):
@@ -321,7 +320,7 @@ def test_fresh_preconditioner_converges_in_two_iterations(consts, spec10):
     A = R[:, 1:]
     rng = np.random.default_rng(1)
     b = rng.standard_normal(33)
-    out = gmres(A, functools.partial(precond.apply, state), b, k_max=33, tol=1e-10)
+    out = gmres(A, state.inverse, b, k_max=33, tol=1e-10)
     assert out.iterations <= 2
     assert out.converged
 
@@ -346,8 +345,7 @@ def test_update_from_a_linear_map_satisfies_its_secant_equations(m, k_fraction, 
     A = rng.standard_normal((m, m)) + m * np.eye(m)
     state = PrecondState(inverse=lu_factor(A + rng.standard_normal((m, m))), built_at=0.0)
     k_max = max(1, math.ceil(k_fraction * m / 2))
-    T = functools.partial(precond.apply, state)
-    out = gmres(A, T, rng.standard_normal(m), k_max=k_max, tol=0.0)
+    out = gmres(A, state.inverse, rng.standard_normal(m), k_max=k_max, tol=0.0)
     S, Y = out.pairs
     new = precond.update(state, S, Y)
     assert new is not state
@@ -440,7 +438,7 @@ def test_loop_updates_leave_every_built_inverse_unchanged(monkeypatch):
 def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
     # the block of case-2 step 5 diverges while the point itself does not:
     # the step degrades, applies no preconditioner and makes no update, and
-    # step 6 applies the state that step 4's update returned
+    # step 6 applies the inverse of the state that step 4's update returned
     step, calls = [0], [0]
     kernel = continuation.block_residual
 
@@ -455,18 +453,18 @@ def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
         return x
 
     used, updated = [], []
-    apply, update = precond.apply, precond.update
+    lu_solve, update = krylov.lu_solve, precond.update
 
-    def spy_apply(state, r):
-        used.append((step[0], state))
-        return apply(state, r)
+    def spy_lu_solve(inverse, r):
+        used.append((step[0], inverse))
+        return lu_solve(inverse, r)
 
     def spy_update(state, S, Y):
         updated.append((step[0], update(state, S, Y)))
         return updated[-1][1]
 
     monkeypatch.setattr(continuation, "block_residual", diverging_block)
-    monkeypatch.setattr(precond, "apply", spy_apply)
+    monkeypatch.setattr(krylov, "lu_solve", spy_lu_solve)
     monkeypatch.setattr(precond, "update", spy_update)
     cfg = SimConfig(case_preset=2, **PRESETS[2])
     cfg.t_end = 0.14
@@ -474,6 +472,6 @@ def test_loop_degraded_step_leaves_the_state_untouched(monkeypatch):
     degraded = [(r.krylov_residual, r.iterations) == (math.inf, 0) for r in records]
     assert degraded == [i == 5 for i in range(7)]
     assert [i for i, _ in updated] == [0, 1, 2, 3, 4, 6]
-    at = {i: [state for j, state in used if j == i] for i in (5, 6)}
+    at = {i: [inverse for j, inverse in used if j == i] for i in (5, 6)}
     assert not at[5]
-    assert at[6] and all(state is updated[4][1] for state in at[6])
+    assert at[6] and all(inverse is updated[4][1].inverse for inverse in at[6])
