@@ -532,7 +532,8 @@ def continuation_step(
     returns ``(U + h*W, norm of F, result)``, where ``result`` is the
     solve's own :class:`~cnmpc.krylov.KrylovResult`.  Its ``pairs`` are
     the secant pairs ``(S, Y)`` with ``A S = Y`` (None for MINRES and a
-    zero residual).  An unknown solver raises ValueError before any evaluation.
+    zero residual).  An unknown solver raises ValueError before any
+    evaluation.
 
     ``R`` None stands for a block whose trajectory diverged.  The step then
     scores F alone, since the block does not tell whether U itself or a

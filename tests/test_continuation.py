@@ -732,7 +732,8 @@ def test_continuation_step_propagates_wrong_shape_preconditioner(solver):
     U = DecisionVector(spec.dims, np.array([0.3, -0.7, 1.1]))
     before = U.data.copy()
     settings = {**STEP, "solver": solver, "k_max": 3, "tol": 1e-8}
-    with pytest.raises(ValueError, match=r"preconditioner shape \(2, 2\) is not the matrix's \(3, 3\)"):
+    wrong_shape = r"preconditioner shape \(2, 2\) is not the matrix's \(3, 3\)"
+    with pytest.raises(ValueError, match=wrong_shape):
         continuation_step(spec, U, x0, loop_block(spec, U, x0), **settings, precond=np.eye(2))
     assert np.array_equal(U.data, before)
 
